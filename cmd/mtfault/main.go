@@ -66,7 +66,6 @@ func main() {
 		eps         = flag.Float64("eps", 0.01, "completion batching window")
 		cellWorkers = flag.Int("cellworkers", 0, "parallel cells (0 = NumCPU)")
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
-		simWorkers  = flag.Int("simworkers", 1, "deprecated alias of -workers")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		progress    = flag.Bool("progress", true, "render a live progress line on stderr")
 		records     = flag.String("records", "", "append one JSON run record per cell to this file (JSONL)")
@@ -83,12 +82,8 @@ func main() {
 	disp := dispatch.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	simW, err := core.ResolveSimWorkers("mtfault", flag.CommandLine, *workers, *simWorkers, os.Stderr)
-	if err != nil {
-		die(err)
-	}
 	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtfault", simW))
+		os.Exit(disp.RunWorkerMain("mtfault", *workers))
 	}
 	w, err := workload.ParseKind(*wName)
 	if err != nil {
@@ -149,7 +144,7 @@ func main() {
 		Clusters:  *clusters,
 		Workload:  w,
 		Params:    workload.Params{Tasks: *tasks, Seed: *seed, MsgBytes: *msg},
-		Sim:       flow.Options{RelEpsilon: *eps, Workers: simW, Metrics: metrics},
+		Sim:       flow.Options{RelEpsilon: *eps, Workers: *workers, Metrics: metrics},
 		Workers:   *cellWorkers,
 		Runner:    runner,
 		Journal:   journal,
@@ -161,7 +156,7 @@ func main() {
 		case disp.Dir == "":
 			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
 		}
-		code := faultDispatch(ctx, disp, specs, fracs, simW, *csv, *progress, *records, *fpr, srv, metrics, degOpt)
+		code := faultDispatch(ctx, disp, specs, fracs, *workers, *csv, *progress, *records, *fpr, srv, metrics, degOpt)
 		stop()
 		os.Exit(code)
 	}

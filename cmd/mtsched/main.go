@@ -36,24 +36,23 @@ import (
 
 func main() {
 	var (
-		topoName   = flag.String("topo", "nestghc", "topology kind")
-		n          = flag.Int("n", 2048, "machine size (QFDBs)")
-		tFlag      = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
-		uFlag      = flag.Int("u", 2, "one uplink per u QFDBs (hybrids)")
-		specPath   = flag.String("spec", "", "multi-client workload spec file (YAML or JSON)")
-		jobs       = flag.Int("jobs", 0, "cap the job stream at this many arrivals (0 = spec value)")
-		duration   = flag.Float64("duration", 0, "cap the arrival stream at this horizon in seconds (0 = spec value)")
-		rate       = flag.Float64("rate", 200, "aggregate arrival rate in jobs/s (built-in spec only)")
-		alloc      = flag.String("alloc", "firstfit", "allocation policy: firstfit|randomfit")
-		seed       = flag.Int64("seed", 1, "experiment seed (overrides the spec seed when set explicitly)")
-		shared     = flag.Bool("shared", false, "replay the schedule on a shared fabric to measure cross-job interference")
-		workers    = flag.Int("workers", 0, "intra-run worker threads; results are identical for every value (0 = GOMAXPROCS, 1 = serial)")
-		simWorkers = flag.Int("simworkers", 0, "deprecated alias of -workers")
-		timeout    = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		jsonOut    = flag.Bool("json", false, "emit the schedule as a schema'd JSON document")
-		recordOut  = flag.Bool("record", false, "emit the schema v3 run record (the document mtserve's /v1/open serves) instead of the sched document")
-		fpOut      = flag.Bool("fingerprint", false, "print only the hex sha256 of the run record's canonical (timing-stripped) form")
-		obsAddr    = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
+		topoName  = flag.String("topo", "nestghc", "topology kind")
+		n         = flag.Int("n", 2048, "machine size (QFDBs)")
+		tFlag     = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
+		uFlag     = flag.Int("u", 2, "one uplink per u QFDBs (hybrids)")
+		specPath  = flag.String("spec", "", "multi-client workload spec file (YAML or JSON)")
+		jobs      = flag.Int("jobs", 0, "cap the job stream at this many arrivals (0 = spec value)")
+		duration  = flag.Float64("duration", 0, "cap the arrival stream at this horizon in seconds (0 = spec value)")
+		rate      = flag.Float64("rate", 200, "aggregate arrival rate in jobs/s (built-in spec only)")
+		alloc     = flag.String("alloc", "firstfit", "allocation policy: firstfit|randomfit")
+		seed      = flag.Int64("seed", 1, "experiment seed (overrides the spec seed when set explicitly)")
+		shared    = flag.Bool("shared", false, "replay the schedule on a shared fabric to measure cross-job interference")
+		workers   = flag.Int("workers", 0, "intra-run worker threads; results are identical for every value (0 = GOMAXPROCS, 1 = serial)")
+		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
+		jsonOut   = flag.Bool("json", false, "emit the schedule as a schema'd JSON document")
+		recordOut = flag.Bool("record", false, "emit the schema v3 run record (the document mtserve's /v1/open serves) instead of the sched document")
+		fpOut     = flag.Bool("fingerprint", false, "print only the hex sha256 of the run record's canonical (timing-stripped) form")
+		obsAddr   = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 	)
 	flag.Var(aliasValue{flag.Lookup("spec").Value}, "workload-spec", "alias of -spec")
 	prof := obs.AddProfileFlags(flag.CommandLine)
@@ -68,10 +67,6 @@ func main() {
 	}
 	if *timeout < 0 {
 		die(fmt.Errorf("negative -timeout %v", *timeout))
-	}
-	simW, err := core.ResolveSimWorkers("mtsched", flag.CommandLine, *workers, *simWorkers, os.Stderr)
-	if err != nil {
-		die(err)
 	}
 
 	ctx, stopSignals := core.SignalContext(context.Background(), "mtsched", os.Stderr)
@@ -139,7 +134,7 @@ func main() {
 		Spec:    spec,
 		Alloc:   sched.AllocPolicy(*alloc),
 		Shared:  *shared,
-		Workers: simW,
+		Workers: *workers,
 		Metrics: metrics,
 	}
 	cell, err := or.RunContext(ctx, top)

@@ -59,7 +59,6 @@ func main() {
 		eps         = flag.Float64("eps", 0.01, "completion batching window")
 		cellWorkers = flag.Int("cellworkers", 0, "parallel cells (0 = NumCPU)")
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
-		simWorkers  = flag.Int("simworkers", 1, "deprecated alias of -workers")
 		specPath    = flag.String("spec", "", "open-system campaign: run this multi-client workload spec over every topology of the set")
 		allocName   = flag.String("alloc", "firstfit", "allocation policy for -spec campaigns: firstfit|randomfit")
 		shared      = flag.Bool("shared", false, "replay each -spec cell's schedule on a shared fabric")
@@ -88,17 +87,14 @@ func main() {
 	if *material {
 		topoRep = core.RepMaterialized
 	}
-	simW, err := core.ResolveSimWorkers("mtsweep", flag.CommandLine, *workers, *simWorkers, os.Stderr)
-	if err != nil {
-		die(err)
-	}
 	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtsweep", simW))
+		os.Exit(disp.RunWorkerMain("mtsweep", *workers))
 	}
 
 	var kinds []workload.Kind
 	var spec *workload.OpenSpec
 	var alloc sched.AllocPolicy
+	var err error
 	if *specPath != "" {
 		// Open-system campaign: the spec's clients define the workload
 		// mix, so the closed-system workload selectors do not apply.
@@ -174,7 +170,7 @@ func main() {
 		Tasks:    *tasks,
 		MsgBytes: *msg,
 		Workers:  *cellWorkers,
-		Sim:      flow.Options{RelEpsilon: *eps, ExactRecompute: *exact, Workers: simW, Metrics: metrics},
+		Sim:      flow.Options{RelEpsilon: *eps, ExactRecompute: *exact, Workers: *workers, Metrics: metrics},
 		Runner:   runner,
 		Journal:  journal,
 	}
@@ -187,7 +183,7 @@ func main() {
 		case disp.Dir == "":
 			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
 		}
-		code := sweepDispatch(ctx, disp, kinds, *n, *cellWorkers, simW, *csv, *progress, *records, *fpr, srv, metrics, panelOpt)
+		code := sweepDispatch(ctx, disp, kinds, *n, *cellWorkers, *workers, *csv, *progress, *records, *fpr, srv, metrics, panelOpt)
 		stop()
 		os.Exit(code)
 	}

@@ -14,9 +14,9 @@ import (
 type TopoSpec = core.TopoSpec
 
 // Build validates the spec against its family's constraints and
-// constructs the topology it describes. Unlike the deprecated
-// BuildTopology it rejects hybrid parameters on flat families and
-// reports exactly which constraint a hybrid design point violates.
+// constructs the topology it describes. It rejects hybrid parameters on
+// flat families and reports exactly which constraint a hybrid design
+// point violates.
 func Build(spec TopoSpec) (Topology, error) {
 	return core.Build(spec)
 }

@@ -8,10 +8,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mtier/internal/fault"
@@ -97,28 +95,6 @@ func PaperPoints() []Point {
 		}
 	}
 	return pts
-}
-
-var buildTopologyDeprecated sync.Once
-
-// BuildTopology constructs a topology of the given family with n endpoints.
-// t and u are only used by the hybrid families; other families ignore
-// them, preserving the historical signature.
-//
-// Deprecated: use Build, whose TopoSpec validation rejects misapplied
-// parameters instead of discarding them. This wrapper logs a one-shot
-// deprecation notice to stderr; it will be removed once downstream
-// callers have migrated.
-func BuildTopology(kind TopoKind, n, t, u int) (topo.Topology, error) {
-	buildTopologyDeprecated.Do(func() {
-		fmt.Fprintln(os.Stderr, "core: BuildTopology is deprecated; use Build(TopoSpec)")
-	})
-	spec := TopoSpec{Kind: kind, Endpoints: n}
-	switch kind {
-	case NestTree, NestGHC:
-		spec.T, spec.U = t, u
-	}
-	return Build(spec)
 }
 
 // Config describes a single simulation cell. The JSON tags define the

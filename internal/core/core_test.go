@@ -10,7 +10,11 @@ import (
 
 func TestBuildTopologyKinds(t *testing.T) {
 	for _, kind := range TopoKinds() {
-		top, err := BuildTopology(kind, 512, 2, 4)
+		spec := TopoSpec{Kind: kind, Endpoints: 512}
+		if kind == NestTree || kind == NestGHC {
+			spec.T, spec.U = 2, 4
+		}
+		top, err := Build(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -18,12 +22,12 @@ func TestBuildTopologyKinds(t *testing.T) {
 			t.Fatalf("%s: endpoints = %d", kind, top.NumEndpoints())
 		}
 	}
-	if _, err := BuildTopology(TopoKind("bogus"), 512, 2, 4); err == nil {
+	if _, err := Build(TopoSpec{Kind: TopoKind("bogus"), Endpoints: 512}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// Extension kinds build and carry at least the requested endpoints.
 	for _, kind := range []TopoKind{Thintree, GHCFlat, Dragonfly, Jellyfish} {
-		top, err := BuildTopology(kind, 300, 0, 0)
+		top, err := Build(TopoSpec{Kind: kind, Endpoints: 300})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -31,7 +35,7 @@ func TestBuildTopologyKinds(t *testing.T) {
 			t.Fatalf("%s: endpoints = %d, want >= 300", kind, top.NumEndpoints())
 		}
 	}
-	if _, err := BuildTopology(Torus3D, 1, 0, 0); err == nil {
+	if _, err := Build(TopoSpec{Kind: Torus3D, Endpoints: 1}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"mtier/internal/obs"
 	"mtier/internal/topo"
+	"mtier/internal/wal"
 )
 
 // JournalSchema identifies the sweep-journal document format: one JSON
@@ -65,14 +64,13 @@ func resultSum(res *RunResult) (string, error) {
 }
 
 // Journal is a durable checkpoint log for sweeps: each completed cell is
-// appended as one fsync'd JSONL record, and a journal reopened with
-// OpenJournal serves those cells from cache so a resumed sweep only runs
-// what is missing. Append and Cached are safe for concurrent use from
-// sweep workers.
+// appended as one fsync'd JSONL record on a wal.Log, and a journal
+// reopened with OpenJournal serves those cells from cache so a resumed
+// sweep only runs what is missing. Append and Cached are safe for
+// concurrent use from sweep workers.
 type Journal struct {
 	mu    sync.Mutex
-	f     *os.File
-	path  string
+	log   *wal.Log
 	cache map[string]*RunResult
 }
 
@@ -81,84 +79,58 @@ type Journal struct {
 // so a campaign killed before its first completed cell still leaves a
 // resumable journal behind.
 func CreateJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	log, err := wal.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: creating journal: %w", err)
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: syncing journal: %w", err)
-	}
-	return &Journal{f: f, path: path, cache: make(map[string]*RunResult)}, nil
-}
-
-// journalEntry is one parsed line of a journal file with its provenance,
-// so corruption reports can point at the offending line and byte offset.
-type journalEntry struct {
-	Line   int // 1-based line number
-	Offset int // byte offset of the line's first byte
-	Rec    JournalRecord
-}
-
-// scanJournal walks a journal image line by line, reporting each complete
-// record through fn with its line number and byte offset. It returns the
-// byte offset just past the last durable (newline-terminated) line; an
-// unterminated tail — the remnant of a crash mid-append — is not handed
-// to fn. fn returning an error stops the walk.
-func scanJournal(data []byte, fn func(e *journalEntry, raw []byte) error) (valid int, err error) {
-	line := 0
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated tail: each record is written and fsync'd as a
-			// single line, so this is the remnant of a crash mid-append.
-			break
-		}
-		line++
-		raw := bytes.TrimSpace(data[off : off+nl])
-		start := off
-		off += nl + 1
-		if len(raw) == 0 {
-			valid = off
-			continue
-		}
-		e := &journalEntry{Line: line, Offset: start}
-		if err := fn(e, raw); err != nil {
-			return valid, err
-		}
-		valid = off
-	}
-	return valid, nil
+	return &Journal{log: log, cache: make(map[string]*RunResult)}, nil
 }
 
 // parseJournalRecord decodes and structurally validates one journal line.
-func parseJournalRecord(raw []byte, e *journalEntry, path string) error {
-	if err := json.Unmarshal(raw, &e.Rec); err != nil {
-		return fmt.Errorf("core: journal %s: corrupt record at line %d (byte offset %d): %v", path, e.Line, e.Offset, err)
+func parseJournalRecord(raw []byte) (*JournalRecord, error) {
+	var rec JournalRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return nil, fmt.Errorf("core: corrupt journal record: %v", err)
 	}
-	if e.Rec.Schema != JournalSchema || e.Rec.Key == "" || e.Rec.Result == nil {
-		return fmt.Errorf("core: journal %s: record at line %d (byte offset %d) has schema %q (want %q) or a missing key/result",
-			path, e.Line, e.Offset, e.Rec.Schema, JournalSchema)
+	if rec.Schema != JournalSchema || rec.Key == "" || rec.Result == nil {
+		return nil, fmt.Errorf("core: journal record has schema %q (want %q) or a missing key/result", rec.Schema, JournalSchema)
 	}
-	return nil
+	return &rec, nil
 }
 
 // checkRecordSum re-derives a record's integrity checksum and compares it
 // to the stored one. Records without a sum (written before the field
 // existed) pass unverified.
-func checkRecordSum(e *journalEntry, path string) error {
-	if e.Rec.Sum == "" {
+func checkRecordSum(rec *JournalRecord) error {
+	if rec.Sum == "" {
 		return nil
 	}
-	sum, err := resultSum(e.Rec.Result)
+	sum, err := resultSum(rec.Result)
 	if err != nil {
-		return fmt.Errorf("core: journal %s: re-hashing record at line %d: %v", path, e.Line, err)
+		return fmt.Errorf("core: re-hashing journal record: %v", err)
 	}
-	if sum != e.Rec.Sum {
-		return fmt.Errorf("core: journal %s: checksum mismatch at line %d (byte offset %d): record says sha256 %.12s…, payload hashes to %.12s…",
-			path, e.Line, e.Offset, e.Rec.Sum, sum)
+	if sum != rec.Sum {
+		return fmt.Errorf("core: journal checksum mismatch: record says sha256 %.12s…, payload hashes to %.12s…", rec.Sum, sum)
 	}
 	return nil
+}
+
+// loadRecords returns the line handler OpenJournal and ReadJournal share:
+// every record must parse and re-verify its checksum, and a later record
+// for a key replaces an earlier one, matching the append-wins semantics
+// of the in-memory cache.
+func loadRecords(cache map[string]*RunResult) wal.LineFunc {
+	return func(_, _ int, raw []byte) error {
+		rec, err := parseJournalRecord(raw)
+		if err != nil {
+			return err
+		}
+		if err := checkRecordSum(rec); err != nil {
+			return err
+		}
+		cache[rec.Key] = rec.Result
+		return nil
+	}
 }
 
 // OpenJournal loads an existing journal for resumption: every complete
@@ -168,70 +140,31 @@ func checkRecordSum(e *journalEntry, path string) error {
 // corruption anywhere earlier (malformed JSON, a wrong schema, or a
 // record whose payload no longer hashes to its stored checksum) is an
 // error naming the offending line and byte offset, since silently
-// dropping interior records would resurrect already-completed work.
+// dropping interior records would resurrect already-completed work. A
+// missing file is an error.
 func OpenJournal(path string) (*Journal, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading journal: %w", err)
-	}
 	cache := make(map[string]*RunResult)
-	valid, err := scanJournal(data, func(e *journalEntry, raw []byte) error {
-		if err := parseJournalRecord(raw, e, path); err != nil {
-			return err
-		}
-		if err := checkRecordSum(e, path); err != nil {
-			return err
-		}
-		cache[e.Rec.Key] = e.Rec.Result
-		return nil
-	})
+	log, err := wal.Open(path, loadRecords(cache))
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("core: reopening journal: %w", err)
-	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: truncating partial journal tail: %w", err)
-	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: seeking journal: %w", err)
-	}
-	return &Journal{f: f, path: path, cache: cache}, nil
+	return &Journal{log: log, cache: cache}, nil
 }
 
 // ReadJournal loads a journal read-only: complete records are returned
 // keyed by cell key, an unterminated tail is ignored (the file is not
 // modified, unlike OpenJournal's repair), and interior corruption is an
-// error with line and byte offset. Duplicate keys keep the latest record,
-// matching the append-wins semantics of the in-memory cache.
+// error with line and byte offset.
 func ReadJournal(path string) (map[string]*RunResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading journal: %w", err)
-	}
 	cache := make(map[string]*RunResult)
-	_, err = scanJournal(data, func(e *journalEntry, raw []byte) error {
-		if err := parseJournalRecord(raw, e, path); err != nil {
-			return err
-		}
-		if err := checkRecordSum(e, path); err != nil {
-			return err
-		}
-		cache[e.Rec.Key] = e.Rec.Result
-		return nil
-	})
-	if err != nil {
+	if _, err := wal.Read(path, loadRecords(cache)); err != nil {
 		return nil, err
 	}
 	return cache, nil
 }
 
 // Path returns the journal's file path (for resume hints).
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.log.Path() }
 
 // Len returns the number of cached (already completed) cells.
 func (j *Journal) Len() int {
@@ -262,17 +195,10 @@ func (j *Journal) Append(key string, res *RunResult) error {
 	if err != nil {
 		return fmt.Errorf("core: marshaling journal record: %w", err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("core: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("core: appending journal record: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("core: syncing journal record: %w", err)
+	if err := j.log.Append(line); err != nil {
+		return err
 	}
 	j.cache[key] = res
 	return nil
@@ -280,19 +206,7 @@ func (j *Journal) Append(key string, res *RunResult) error {
 
 // Close syncs and closes the journal file. The cache stays readable, so
 // reports assembled after a sweep can still splice cached cells.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // JournalIssue is one problem VerifyJournal found, anchored to the line
 // and byte offset it occurred at.
@@ -331,28 +245,28 @@ func (r *JournalReport) Clean() bool { return len(r.Issues) == 0 }
 // and byte offset. The error return is reserved for I/O failures —
 // corruption is reported, not returned.
 func VerifyJournal(path string) (*JournalReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading journal: %w", err)
-	}
 	rep := &JournalReport{Path: path}
-	valid, _ := scanJournal(data, func(e *journalEntry, raw []byte) error {
-		if err := parseJournalRecord(raw, e, path); err != nil {
-			rep.Issues = append(rep.Issues, JournalIssue{Line: e.Line, Offset: e.Offset, Detail: err.Error()})
+	tail, err := wal.Read(path, func(line, offset int, raw []byte) error {
+		rec, err := parseJournalRecord(raw)
+		if err != nil {
+			rep.Issues = append(rep.Issues, JournalIssue{Line: line, Offset: offset, Detail: err.Error()})
 			return nil
 		}
 		rep.Records++
-		if e.Rec.Sum == "" {
+		if rec.Sum == "" {
 			return nil
 		}
-		if err := checkRecordSum(e, path); err != nil {
-			rep.Issues = append(rep.Issues, JournalIssue{Line: e.Line, Offset: e.Offset, Key: e.Rec.Key, Detail: err.Error()})
+		if err := checkRecordSum(rec); err != nil {
+			rep.Issues = append(rep.Issues, JournalIssue{Line: line, Offset: offset, Key: rec.Key, Detail: err.Error()})
 			return nil
 		}
 		rep.Checksummed++
 		return nil
 	})
-	rep.TailBytes = len(data) - valid
+	if err != nil {
+		return nil, err
+	}
+	rep.TailBytes = tail
 	return rep, nil
 }
 

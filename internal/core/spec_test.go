@@ -55,18 +55,18 @@ func TestBuildRejectsInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestBuildTopologyCompat pins the historical lenient behaviour: the
-// wrapper drops (t, u) for non-hybrid families instead of erroring, so
-// existing callers that always pass them keep working.
+// TestBuildTopologyCompat: the positional (kind, n, t, u) call shape
+// maps onto TopoSpec — a flat family is built from a spec without (t, u)
+// at exactly n endpoints, and a hybrid with an invalid u is rejected.
 func TestBuildTopologyCompat(t *testing.T) {
-	top, err := BuildTopology(Torus3D, 64, 2, 4)
+	top, err := Build(TopoSpec{Kind: Torus3D, Endpoints: 64})
 	if err != nil {
-		t.Fatalf("BuildTopology(torus, 64, 2, 4): %v", err)
+		t.Fatalf("Build(torus, 64): %v", err)
 	}
 	if top.NumEndpoints() != 64 {
 		t.Fatalf("got %d endpoints, want 64", top.NumEndpoints())
 	}
-	if _, err := BuildTopology(NestGHC, 64, 2, 3); err == nil {
-		t.Fatal("BuildTopology(nestghc, 64, 2, 3): expected invalid-u error")
+	if _, err := Build(TopoSpec{Kind: NestGHC, Endpoints: 64, T: 2, U: 3}); err == nil {
+		t.Fatal("Build(nestghc, 64, 2, 3): expected invalid-u error")
 	}
 }

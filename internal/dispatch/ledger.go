@@ -6,7 +6,7 @@
 // whose fingerprint is verified against the serial oracle.
 //
 // Robustness is the product. A worker SIGKILLed mid-cell leaves only a
-// truncated journal tail that core.OpenJournal repairs; its lease
+// truncated journal tail, which every reader tolerates; its lease
 // expires (or its exit is observed) and the cell is re-leased to
 // another worker, which re-runs it with the same seed — cells are
 // deterministic functions of their keyed configuration, so the re-run
@@ -18,12 +18,12 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+	"io/fs"
+
+	"mtier/internal/wal"
 )
 
 // LedgerSchema identifies the lease-ledger document format: one JSON
@@ -70,8 +70,10 @@ type Record struct {
 // gate every record passes on read — and the fuzz target's entry point.
 func ParseRecord(raw []byte) (*Record, error) {
 	var rec Record
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	if err := dec.Decode(&rec); err != nil {
+	// Unmarshal, unlike a Decoder, rejects data after the first JSON
+	// value: two records merged by a corrupted newline must not read as
+	// the first one alone.
+	if err := json.Unmarshal(raw, &rec); err != nil {
 		return nil, fmt.Errorf("dispatch: corrupt ledger record: %v", err)
 	}
 	if rec.Schema != LedgerSchema {
@@ -98,13 +100,10 @@ func ParseRecord(raw []byte) (*Record, error) {
 }
 
 // Ledger is the coordinator's durable lease log: one fsync'd JSONL
-// record per lease transition, same crash discipline as core.Journal —
-// a record either made it to disk whole or is a truncated tail the next
-// open repairs.
+// record per lease transition on a wal.Log, the same crash discipline as
+// core.Journal.
 type Ledger struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log *wal.Log
 }
 
 // OpenLedger opens (creating if absent) the ledger at path for
@@ -114,45 +113,22 @@ type Ledger struct {
 // corruption is an error naming the line and byte offset, because
 // silently dropping lease history could resurrect a poisoned cell.
 func OpenLedger(path string) (*Ledger, []Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("dispatch: reading ledger: %w", err)
-	}
 	var recs []Record
-	valid := 0
-	line := 0
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // crash-truncated tail
-		}
-		line++
-		raw := bytes.TrimSpace(data[off : off+nl])
-		start := off
-		off += nl + 1
-		valid = off
-		if len(raw) == 0 {
-			continue
-		}
+	log, err := wal.Open(path, func(_, _ int, raw []byte) error {
 		rec, err := ParseRecord(raw)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dispatch: ledger %s: line %d (byte offset %d): %v", path, line, start, err)
+			return err
 		}
 		recs = append(recs, *rec)
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		log, err = wal.Create(path)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: opening ledger: %w", err)
+		return nil, nil, err
 	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("dispatch: truncating partial ledger tail: %w", err)
-	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("dispatch: seeking ledger: %w", err)
-	}
-	return &Ledger{f: f, path: path}, recs, nil
+	return &Ledger{log: log}, recs, nil
 }
 
 // Append durably writes one lease transition: a single line, fsync'd
@@ -163,35 +139,11 @@ func (l *Ledger) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: marshaling ledger record: %w", err)
 	}
-	line = append(line, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("dispatch: ledger %s is closed", l.path)
-	}
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("dispatch: appending ledger record: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("dispatch: syncing ledger record: %w", err)
-	}
-	return nil
+	return l.log.Append(line)
 }
 
 // Path returns the ledger's file path.
-func (l *Ledger) Path() string { return l.path }
+func (l *Ledger) Path() string { return l.log.Path() }
 
 // Close syncs and closes the ledger file.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
+func (l *Ledger) Close() error { return l.log.Close() }

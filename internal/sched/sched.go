@@ -427,31 +427,3 @@ func allocate(policy AllocPolicy, seed int64, used []bool, k, jobIdx int) ([]int
 		return nil, fmt.Errorf("sched: unknown allocation policy %q", policy)
 	}
 }
-
-// Scheduler is the legacy closed-system entry point, kept as a thin
-// wrapper over Config/RunContext for existing callers.
-//
-// Deprecated: use Run or RunContext with a Config.
-type Scheduler struct {
-	cfg Config
-}
-
-// New creates a scheduler over the topology with the given allocation
-// policy and simulation options.
-//
-// Deprecated: use Run or RunContext with a Config.
-func New(t topo.Topology, alloc AllocPolicy, opt flow.Options, seed int64) *Scheduler {
-	return &Scheduler{cfg: Config{Topo: t, Alloc: alloc, Sim: opt, Seed: seed}}
-}
-
-// Run executes the jobs FCFS and returns one Event per job, in input
-// order.
-//
-// Deprecated: use the package-level Run or RunContext.
-func (s *Scheduler) Run(jobs []Job) ([]Event, error) {
-	sch, err := RunContext(context.Background(), s.cfg, jobs)
-	if err != nil {
-		return nil, err
-	}
-	return sch.Events, nil
-}

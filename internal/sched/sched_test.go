@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"mtier/internal/flow"
 	"mtier/internal/grid"
 	"mtier/internal/topo/torus"
 	"mtier/internal/workload"
@@ -18,6 +17,16 @@ func machine(t testing.TB) *torus.Torus {
 	return tor
 }
 
+// schedule runs jobs on a fresh test machine and returns the per-job
+// events.
+func schedule(t testing.TB, alloc AllocPolicy, seed int64, jobs []Job) ([]Event, error) {
+	sch, err := Run(Config{Topo: machine(t), Alloc: alloc, Seed: seed}, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return sch.Events, nil
+}
+
 func job(name string, tasks int, submit float64) Job {
 	return Job{
 		Name:     name,
@@ -28,8 +37,7 @@ func job(name string, tasks int, submit float64) Job {
 }
 
 func TestSingleJob(t *testing.T) {
-	s := New(machine(t), FirstFit, flow.Options{}, 0)
-	ev, err := s.Run([]Job{job("a", 16, 0)})
+	ev, err := schedule(t, FirstFit, 0, []Job{job("a", 16, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +58,7 @@ func TestSingleJob(t *testing.T) {
 }
 
 func TestJobsShareMachineWhenTheyFit(t *testing.T) {
-	s := New(machine(t), FirstFit, flow.Options{}, 0)
-	ev, err := s.Run([]Job{job("a", 32, 0), job("b", 32, 0)})
+	ev, err := schedule(t, FirstFit, 0, []Job{job("a", 32, 0), job("b", 32, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +78,7 @@ func TestJobsShareMachineWhenTheyFit(t *testing.T) {
 }
 
 func TestFCFSQueuesWhenFull(t *testing.T) {
-	s := New(machine(t), FirstFit, flow.Options{}, 0)
-	ev, err := s.Run([]Job{job("a", 48, 0), job("b", 48, 0)})
+	ev, err := schedule(t, FirstFit, 0, []Job{job("a", 48, 0), job("b", 48, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +94,7 @@ func TestFCFSQueuesWhenFull(t *testing.T) {
 }
 
 func TestSubmitTimesRespected(t *testing.T) {
-	s := New(machine(t), FirstFit, flow.Options{}, 0)
-	ev, err := s.Run([]Job{job("a", 8, 0), job("b", 8, 100)})
+	ev, err := schedule(t, FirstFit, 0, []Job{job("a", 8, 0), job("b", 8, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +104,7 @@ func TestSubmitTimesRespected(t *testing.T) {
 }
 
 func TestRandomFitDisjoint(t *testing.T) {
-	s := New(machine(t), RandomFit, flow.Options{}, 11)
-	ev, err := s.Run([]Job{job("a", 20, 0), job("b", 20, 0), job("c", 20, 0)})
+	ev, err := schedule(t, RandomFit, 11, []Job{job("a", 20, 0), job("b", 20, 0), job("c", 20, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,21 +120,18 @@ func TestRandomFitDisjoint(t *testing.T) {
 }
 
 func TestOversizedJobRejected(t *testing.T) {
-	s := New(machine(t), FirstFit, flow.Options{}, 0)
-	if _, err := s.Run([]Job{job("a", 100, 0)}); err == nil {
+	if _, err := schedule(t, FirstFit, 0, []Job{job("a", 100, 0)}); err == nil {
 		t.Fatal("job larger than machine accepted")
 	}
 }
 
 func TestDeterministicSchedule(t *testing.T) {
 	jobs := []Job{job("a", 48, 0), job("b", 16, 0), job("c", 32, 5)}
-	s1 := New(machine(t), RandomFit, flow.Options{}, 3)
-	s2 := New(machine(t), RandomFit, flow.Options{}, 3)
-	e1, err := s1.Run(jobs)
+	e1, err := schedule(t, RandomFit, 3, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := s2.Run(jobs)
+	e2, err := schedule(t, RandomFit, 3, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,6 @@ const (
 	Jellyfish = core.Jellyfish
 )
 
-// BuildTopology constructs a topology of the given family with n
-// endpoints; t and u parameterise the hybrid families (subtorus nodes per
-// dimension, and one uplink per u QFDBs) and are ignored by the rest.
-//
-// Deprecated: use Build, which takes a TopoSpec and validates the
-// parameters against the chosen family instead of ignoring the
-// inapplicable ones.
-func BuildTopology(kind TopoKind, n, t, u int) (Topology, error) {
-	return core.BuildTopology(kind, n, t, u)
-}
-
 // WorkloadKind names one of the paper's eleven traffic models.
 type WorkloadKind = workload.Kind
 
