@@ -22,18 +22,19 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/flow"
 	"mtier/internal/obs"
+	"mtier/internal/wal"
 	"mtier/internal/workload"
 )
 
@@ -144,77 +145,45 @@ func main() {
 		out       = flag.String("out", "", "write the trajectory JSON to this file (default stdout)")
 		baseline  = flag.String("baseline", "", "compare against this committed trajectory and exit non-zero on regression")
 		threshold = flag.Float64("threshold", 0.15, "allowed calibrated wall-time growth per regime (0.15 = +15%)")
-		obsAddr   = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 	)
-	prof := obs.AddProfileFlags(flag.CommandLine)
+	p := cli.New("mtbench", flag.CommandLine)
 	flag.Parse()
+	ctx := p.Start(0)
 	if *threshold < 0 {
-		die(fmt.Errorf("negative -threshold %g", *threshold))
+		p.Exit(fmt.Errorf("negative -threshold %g", *threshold))
 	}
 
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtbench", os.Stderr)
-	defer stopSignals()
+	// A writer-less meter: the terminal keeps mtbench's per-regime lines,
+	// while /progress serves machine-readable completion.
+	traj, err := record(ctx, p.Meter(calibrationRuns+len(regimes()), false))
+	p.Check(err)
 
-	stop, err := prof.Start()
-	if err != nil {
-		die(err)
+	write := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(traj)
 	}
-	defer stop()
-	var meter *obs.ProgressMeter
-	if *obsAddr != "" {
-		metrics := obs.NewRegistry()
-		srv, err := obs.NewServer(*obsAddr, metrics)
-		if err != nil {
-			die(err)
-		}
-		defer srv.Close()
-		// A writer-less meter: the terminal keeps mtbench's per-regime
-		// lines, while /progress serves machine-readable completion.
-		meter = obs.NewProgressMeter(nil, calibrationRuns+len(regimes()))
-		srv.SetProgress(meter)
-		fmt.Fprintln(os.Stderr, "mtbench: observability endpoint on http://"+srv.Addr())
+	if *out == "" {
+		err = write(os.Stdout)
+	} else {
+		err = wal.WriteFile(*out, write)
 	}
-
-	traj, err := record(ctx, meter)
-	if err != nil {
-		die(err)
-	}
-
-	var w *os.File = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(traj); err != nil {
-		die(err)
-	}
+	p.Check(err)
 
 	if *baseline != "" {
 		base, err := loadBaseline(*baseline)
-		if err != nil {
-			die(err)
-		}
+		p.Check(err)
 		failures := compare(base, traj, *threshold)
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "mtbench: REGRESSION:", f)
 		}
 		if len(failures) > 0 {
-			os.Exit(1)
+			p.Exit(fmt.Errorf("%d regression(s) against %s", len(failures), *baseline))
 		}
 		fmt.Fprintf(os.Stderr, "mtbench: %d regime(s) within %.0f%% of %s (calibration ratio %.2f)\n",
 			len(traj.Regimes), *threshold*100, *baseline, traj.CalibrationSeconds/base.CalibrationSeconds)
 	}
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtbench:", err)
-	os.Exit(1)
+	p.Exit(nil)
 }
 
 // record runs calibration and every regime once, collecting the
@@ -257,18 +226,17 @@ func record(ctx context.Context, meter *obs.ProgressMeter) (*Trajectory, error) 
 		// the timings Fingerprint already drops.
 		rec := res.Record()
 		rec.Env = obs.Environment{}
-		fp, err := rec.Fingerprint()
+		sum, err := rec.SHA256()
 		if err != nil {
 			return nil, fmt.Errorf("regime %s: fingerprint: %w", r.name, err)
 		}
-		sum := sha256.Sum256(fp)
 		traj.Regimes = append(traj.Regimes, RegimeResult{
 			Name:         r.name,
 			Config:       describe(r.cfg),
 			MakespanS:    res.Result.Makespan,
 			Epochs:       res.Result.Epochs,
 			Flows:        res.Flows,
-			RecordSHA256: hex.EncodeToString(sum[:]),
+			RecordSHA256: sum,
 			WallSeconds:  wall,
 		})
 		fmt.Fprintf(os.Stderr, "mtbench: %-22s %.3fs wall, makespan %.6fs, %d epochs\n",

@@ -10,12 +10,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/cost"
-	"mtier/internal/obs"
 )
 
 func main() {
@@ -23,7 +22,6 @@ func main() {
 		n       = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
 		csv     = flag.Bool("csv", false, "emit CSV")
 		jsonOut = flag.Bool("json", false, "emit the table as a schema'd JSON document")
-		obsAddr = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 	)
 	m := cost.DefaultModel()
 	flag.Float64Var(&m.NodeCost, "nodecost", m.NodeCost, "unit cost of one QFDB")
@@ -32,35 +30,19 @@ func main() {
 	flag.Float64Var(&m.NodePower, "nodepower", m.NodePower, "power of one QFDB (W)")
 	flag.Float64Var(&m.SwitchPower, "switchpower", m.SwitchPower, "power of one switch (W)")
 	flag.Float64Var(&m.CablePower, "cablepower", m.CablePower, "power of one cable (W)")
-	prof := obs.AddProfileFlags(flag.CommandLine)
+	p := cli.New("mtcost", flag.CommandLine)
 	flag.Parse()
+	p.Start(0)
 
-	stop, perr := prof.Start()
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "mtcost:", perr)
-		os.Exit(1)
-	}
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr, obs.NewRegistry())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mtcost:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mtcost: observability endpoint on http://"+srv.Addr())
-	}
 	tab, err := core.Table2(*n, m)
-	stop()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mtcost:", err)
-		os.Exit(1)
-	}
+	p.Check(err)
 	switch {
 	case *jsonOut:
-		_ = tab.WriteJSON(os.Stdout, "mtier/cost-record/v1")
+		err = tab.WriteJSON(os.Stdout, "mtier/cost-record/v1")
 	case *csv:
-		_ = tab.WriteCSV(os.Stdout)
+		err = tab.WriteCSV(os.Stdout)
 	default:
-		_ = tab.WriteText(os.Stdout)
+		err = tab.WriteText(os.Stdout)
 	}
+	p.Exit(err)
 }

@@ -28,20 +28,14 @@
 package main
 
 import (
-	"bufio"
-	"context"
-	"crypto/sha256"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
-	"mtier/internal/dispatch"
 	"mtier/internal/fault"
 	"mtier/internal/flow"
 	"mtier/internal/obs"
@@ -67,143 +61,55 @@ func main() {
 		cellWorkers = flag.Int("cellworkers", 0, "parallel cells (0 = NumCPU)")
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
 		csv         = flag.Bool("csv", false, "emit CSV")
-		progress    = flag.Bool("progress", true, "render a live progress line on stderr")
-		records     = flag.String("records", "", "append one JSON run record per cell to this file (JSONL)")
 		fpr         = flag.Bool("fingerprint", false, "print a sha256 over the canonical run records of all cells (determinism check)")
-		journalPath = flag.String("journal", "", "checkpoint every completed cell to this JSONL journal (fresh file)")
-		resumePath  = flag.String("resume", "", "resume from this journal: skip already-completed cells and keep appending to it")
-		cellTimeout = flag.Duration("celltimeout", 0, "per-cell deadline (0 = none); timed-out cells are retried")
-		retries     = flag.Int("retries", 0, "extra same-seed attempts for a cell that exceeds -celltimeout")
-		memBudget   = flag.Int64("membudget", 0, "soft heap budget in bytes (0 = off); concurrency is shed while over it")
-		obsAddr     = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 		material    = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
-	prof := obs.AddProfileFlags(flag.CommandLine)
-	disp := dispatch.AddCLIFlags(flag.CommandLine)
+	p := cli.New("mtfault", flag.CommandLine)
+	cf := cli.AddCampaignFlags(flag.CommandLine)
 	flag.Parse()
 
-	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtfault", *workers))
+	if cf.Dispatch.WorkerMode() {
+		p.Exit(cli.Status(cf.Dispatch.RunWorkerMain("mtfault", *workers)))
 	}
+	ctx := p.Start(0)
 	w, err := workload.ParseKind(*wName)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
 	model, err := fault.ParseModel(*modelName)
-	if err != nil {
-		die(err)
-	}
-	rep := core.RepAuto
-	if *material {
-		rep = core.RepMaterialized
-	}
-	specs, err := parseTopos(*topos, *n, *t, *u, rep)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
+	specs, err := parseTopos(*topos, *n, *t, *u, cli.Rep(*material))
+	p.Check(err)
 	fracs, err := parseFractions(*fractions)
-	if err != nil {
-		die(err)
-	}
-	runner := core.RunnerOptions{
-		CellTimeout:    *cellTimeout,
-		MaxRetries:     *retries,
-		MemBudgetBytes: *memBudget,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "\nmtfault: "+format+"\n", args...)
-		},
-	}
-	if err := runner.Validate(); err != nil {
-		die(err)
-	}
-	journal, err := openJournal(*journalPath, *resumePath)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
+	camp, err := p.OpenCampaign(cf, false)
+	p.Check(err)
 
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtfault", os.Stderr)
-	defer stopSignals()
-
-	stop, err := prof.Start()
-	if err != nil {
-		die(err)
-	}
-	var srv *obs.Server
-	var metrics *obs.Registry
-	if *obsAddr != "" {
-		metrics = obs.NewRegistry()
-		if srv, err = obs.NewServer(*obsAddr, metrics); err != nil {
-			die(err)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mtfault: observability endpoint on http://"+srv.Addr())
-	}
-	degOpt := core.DegradationOptions{
+	opt := core.DegradationOptions{
 		Model:     model,
 		FaultSeed: *faultSeed,
 		Clusters:  *clusters,
 		Workload:  w,
 		Params:    workload.Params{Tasks: *tasks, Seed: *seed, MsgBytes: *msg},
-		Sim:       flow.Options{RelEpsilon: *eps, Workers: *workers, Metrics: metrics},
+		Sim:       flow.Options{RelEpsilon: *eps, Workers: *workers, Metrics: p.Metrics},
 		Workers:   *cellWorkers,
-		Runner:    runner,
-		Journal:   journal,
+		Runner:    camp.Runner,
+		Journal:   camp.Journal,
 	}
-	if disp.WorkersExec > 0 {
-		switch {
-		case *journalPath != "" || *resumePath != "":
-			die(fmt.Errorf("-journal/-resume conflict with -workers-exec: the campaign dir's per-worker journals and merged journal replace them"))
-		case disp.Dir == "":
-			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
+	r := &run{p: p, sink: camp.Sink, specs: specs, fracs: fracs, csv: *csv, fpr: *fpr}
+	grid, err := core.DegradationGrid(specs, fracs, opt)
+	if err == nil && cf.Dispatch.WorkersExec > 0 {
+		cfgs := make([]core.Config, len(grid))
+		for i, pt := range grid {
+			cfgs[i] = pt.Config
 		}
-		code := faultDispatch(ctx, disp, specs, fracs, *workers, *csv, *progress, *records, *fpr, srv, metrics, degOpt)
-		stop()
-		os.Exit(code)
+		err = cf.Dispatch.Campaign(ctx, "mtfault", cfgs, *workers, p.Metrics, p.Meter(len(cfgs), cf.Progress),
+			func(merged *core.Journal) error {
+				opt.Journal = merged
+				return r.sweep(len(grid), false, opt)
+			})
+	} else if err == nil {
+		err = r.sweep(len(grid), cf.Progress, opt)
 	}
-	err = run(ctx, specs, fracs, *csv, *progress, *records, *fpr, srv, degOpt)
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "mtfault: closing journal:", cerr)
-		}
-	}
-	stop()
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mtfault:", err)
-			if journal != nil {
-				fmt.Fprintf(os.Stderr, "mtfault: %d cell(s) checkpointed — resume with: mtfault <same flags> -resume %s\n",
-					journal.Len(), journal.Path())
-			}
-			os.Exit(core.SignalExitCode)
-		}
-		die(err)
-	}
-}
-
-// openJournal resolves the -journal/-resume pair: -journal starts a
-// fresh checkpoint file, -resume loads an existing one (rejecting
-// unreadable or corrupt files up front) and keeps appending to it.
-func openJournal(journalPath, resumePath string) (*core.Journal, error) {
-	switch {
-	case journalPath != "" && resumePath != "":
-		return nil, fmt.Errorf("-journal and -resume are mutually exclusive: -resume already appends to the journal it loads")
-	case resumePath != "":
-		j, err := core.OpenJournal(resumePath)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "mtfault: resuming from %s (%d cell(s) already completed)\n", resumePath, j.Len())
-		return j, nil
-	case journalPath != "":
-		return core.CreateJournal(journalPath)
-	default:
-		return nil, nil
-	}
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtfault:", err)
-	os.Exit(1)
+	p.Exit(camp.Close(err))
 }
 
 // parseTopos resolves the -topos list into validated TopoSpecs, applying
@@ -251,47 +157,20 @@ func parseFractions(list string) ([]float64, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.DegradationOptions) error {
-	var meter *obs.ProgressMeter
-	nFracs := len(fracs)
-	hasZero := false
-	for _, f := range fracs {
-		if f == 0 {
-			hasZero = true
-		}
-	}
-	if !hasZero {
-		nFracs++
-	}
-	if progress {
-		meter = obs.NewProgressMeter(os.Stderr, len(specs)*nFracs)
-	} else if srv != nil {
-		// Writer-less meter: /progress still serves counts without a
-		// terminal line.
-		meter = obs.NewProgressMeter(nil, len(specs)*nFracs)
-	}
-	if srv != nil {
-		srv.SetProgress(meter)
-	}
+// run is one mtfault invocation's fixed inputs.
+type run struct {
+	p     *cli.Process
+	sink  *cli.Sink
+	specs []core.TopoSpec
+	fracs []float64
+	csv   bool
+	fpr   bool
+}
 
-	var recMu sync.Mutex
-	var recW *bufio.Writer
-	if records != "" {
-		f, err := os.Create(records)
-		if err != nil {
-			return err
-		}
-		recW = bufio.NewWriter(f)
-		defer func() {
-			if err := recW.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtfault: flushing records:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtfault: closing records:", err)
-			}
-		}()
-	}
-
+// sweep runs the degradation sweep; cells is its grid size, the
+// progress meter's total, and draw renders the live progress line.
+func (r *run) sweep(cells int, draw bool, opt core.DegradationOptions) error {
+	meter := r.p.Meter(cells, draw)
 	opt.OnCell = func(spec core.TopoSpec, fraction float64, res *core.RunResult, cached bool) {
 		label := fmt.Sprintf("%s @%g%%", spec.Kind, fraction*100)
 		if cached {
@@ -299,68 +178,43 @@ func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progr
 		} else {
 			meter.Step(label)
 		}
-		if recW != nil {
-			line, err := res.Record().MarshalLine()
-			recMu.Lock()
-			defer recMu.Unlock()
-			if err == nil {
-				_, err = recW.Write(line)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "\nmtfault: writing record:", err)
-			}
-		}
+		r.sink.Add(label, res.Record())
 	}
-
-	rep, err := core.DegradationSweepContext(ctx, specs, fracs, opt)
+	rep, err := core.DegradationSweepContext(r.p.Ctx, r.specs, r.fracs, opt)
 	if err != nil {
 		return err
 	}
-	if meter != nil {
-		fmt.Fprint(os.Stderr, "\r\033[K")
-		meter.Finish()
-	}
+	meter.Clear()
+	meter.Finish()
 
-	emit(rep.Table(), csv)
-	if !csv {
-		emit(rep.NormTimeFigure().Table(), false)
-		emit(rep.ReachabilityFigure().Table(), false)
+	tabs := []*report.Table{rep.Table()}
+	if !r.csv {
+		tabs = append(tabs, rep.NormTimeFigure().Table(), rep.ReachabilityFigure().Table())
 	}
-	if fpr {
-		sum, err := fingerprint(rep)
-		if err != nil {
+	for _, tab := range tabs {
+		if err := cli.Emit(tab, r.csv); err != nil {
 			return err
 		}
-		fmt.Printf("fingerprint %x\n", sum)
 	}
-	return nil
-}
-
-// fingerprint hashes the canonical (phase-timing-free) run record of
-// every cell in deterministic order: two same-seed sweeps must produce
-// the same digest, which the CI fault-smoke job asserts.
-func fingerprint(rep *core.DegradationReport) ([]byte, error) {
-	h := sha256.New()
-	// Series are already in spec order; cells in ascending fraction order.
+	if !r.fpr {
+		return nil
+	}
+	// The digest covers every cell's canonical (phase-timing-free) run
+	// record in deterministic order — series in spec order, cells in
+	// ascending fraction order — so two same-seed sweeps must agree, which
+	// the CI fault-smoke job asserts.
+	var fps [][]byte
 	for _, series := range rep.Series {
 		cells := append([]core.DegradationCell(nil), series...)
 		sort.Slice(cells, func(a, b int) bool { return cells[a].Fraction < cells[b].Fraction })
 		for _, c := range cells {
 			fp, err := c.Result.Record().Fingerprint()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			h.Write(fp)
+			fps = append(fps, fp)
 		}
 	}
-	return h.Sum(nil), nil
-}
-
-func emit(tab *report.Table, csv bool) {
-	if csv {
-		_ = tab.WriteCSV(os.Stdout)
-	} else {
-		_ = tab.WriteText(os.Stdout)
-		fmt.Println()
-	}
+	fmt.Printf("fingerprint %s\n", obs.Digest(fps...))
+	return nil
 }

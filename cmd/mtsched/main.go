@@ -16,20 +16,16 @@
 package main
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"mtier/internal/arrival"
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/flow"
-	"mtier/internal/obs"
 	"mtier/internal/sched"
 	"mtier/internal/workload"
 )
@@ -52,45 +48,16 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the schedule as a schema'd JSON document")
 		recordOut = flag.Bool("record", false, "emit the schema v3 run record (the document mtserve's /v1/open serves) instead of the sched document")
 		fpOut     = flag.Bool("fingerprint", false, "print only the hex sha256 of the run record's canonical (timing-stripped) form")
-		obsAddr   = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 	)
 	flag.Var(aliasValue{flag.Lookup("spec").Value}, "workload-spec", "alias of -spec")
-	prof := obs.AddProfileFlags(flag.CommandLine)
+	p := cli.New("mtsched", flag.CommandLine)
 	flag.Parse()
+	ctx := p.Start(*timeout)
 
 	kind, err := core.ParseTopoKind(*topoName)
-	if err != nil {
-		die(err)
-	}
-	if _, err := sched.ParseAllocPolicy(*alloc); err != nil {
-		die(err)
-	}
-	if *timeout < 0 {
-		die(fmt.Errorf("negative -timeout %v", *timeout))
-	}
-
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtsched", os.Stderr)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	stop, err := prof.Start()
-	if err != nil {
-		die(err)
-	}
-	defer stop()
-	var metrics *obs.Registry
-	if *obsAddr != "" {
-		metrics = obs.NewRegistry()
-		srv, err := obs.NewServer(*obsAddr, metrics)
-		if err != nil {
-			die(err)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mtsched: observability endpoint on http://"+srv.Addr())
-	}
+	p.Check(err)
+	_, err = sched.ParseAllocPolicy(*alloc)
+	p.Check(err)
 
 	tspec := core.TopoSpec{Kind: kind, Endpoints: *n}
 	switch kind {
@@ -98,14 +65,10 @@ func main() {
 		tspec.T, tspec.U = *tFlag, *uFlag
 	}
 	top, err := core.Build(tspec)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
 
 	spec, err := loadOrDefaultSpec(*specPath, top.NumEndpoints(), *rate)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
 	// Explicit CLI bounds/seed override the spec's.
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -122,9 +85,7 @@ func main() {
 	if *duration > 0 {
 		spec.Duration = *duration
 	}
-	if err := spec.Validate(); err != nil {
-		die(err)
-	}
+	p.Check(spec.Validate())
 
 	// The run itself goes through core.OpenRun — the exact pipeline the
 	// mtserve daemon executes for /v1/open — so -record and -fingerprint
@@ -135,50 +96,28 @@ func main() {
 		Alloc:   sched.AllocPolicy(*alloc),
 		Shared:  *shared,
 		Workers: *workers,
-		Metrics: metrics,
+		Metrics: p.Metrics,
 	}
 	cell, err := or.RunContext(ctx, top)
-	if err != nil {
-		stop()
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintln(os.Stderr, "mtsched: interrupted — partial schedule discarded:", err)
-			os.Exit(core.SignalExitCode)
-		case errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "mtsched: run exceeded -timeout %v — partial schedule discarded: %v\n", *timeout, err)
-			os.Exit(1)
-		}
-		die(err)
-	}
+	p.Check(err)
 
 	switch {
 	case *fpOut:
-		fp, err := cell.Record(or.Config()).Fingerprint()
-		if err != nil {
-			die(err)
-		}
-		sum := sha256.Sum256(fp)
-		fmt.Println(hex.EncodeToString(sum[:]))
+		sum, err := cell.Record(or.Config()).SHA256()
+		p.Check(err)
+		fmt.Println(sum)
 	case *recordOut:
-		if err := cell.Record(or.Config()).WriteJSON(os.Stdout); err != nil {
-			die(err)
-		}
+		err = cell.Record(or.Config()).WriteJSON(os.Stdout)
 	case *jsonOut:
-		if err := writeJSON(os.Stdout, cell.Topology, top.NumEndpoints(), *alloc, spec, cell.Jobs, cell.Schedule); err != nil {
-			die(err)
-		}
+		err = writeJSON(os.Stdout, cell.Topology, top.NumEndpoints(), *alloc, spec, cell.Jobs, cell.Schedule)
 	default:
 		printText(os.Stdout, cell.Topology, top.NumEndpoints(), *alloc, spec, cell.Jobs, cell.Schedule)
 	}
+	p.Exit(err)
 }
 
 // aliasValue lets a second flag name write through to an existing flag.
 type aliasValue struct{ flag.Value }
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtsched:", err)
-	os.Exit(1)
-}
 
 // loadOrDefaultSpec loads the -spec file, or falls back to a built-in
 // two-client mix (latency-sensitive interactive traffic vs bursty batch

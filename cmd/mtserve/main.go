@@ -26,6 +26,7 @@ import (
 	"os"
 	"time"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/serve"
 )
@@ -45,9 +46,10 @@ func main() {
 		cacheN   = flag.Int("cache", core.DefaultTopoCacheEntries, "built-topology cache entries")
 		workers  = flag.Int("workers", 0, "intra-run worker threads per simulation; records are identical for every value (0 = GOMAXPROCS)")
 	)
+	p := cli.New("mtserve", nil)
 	flag.Parse()
 	if *drain < 0 {
-		die(fmt.Errorf("negative -drain %v", *drain))
+		p.Exit(fmt.Errorf("negative -drain %v", *drain))
 	}
 
 	srv, err := serve.New(serve.Options{
@@ -65,32 +67,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mtserve: "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		die(err)
-	}
-	if err := srv.Listen(*listen); err != nil {
-		die(err)
-	}
+	p.Check(err)
+	p.Check(srv.Listen(*listen))
 	fmt.Fprintln(os.Stderr, "mtserve: serving on http://"+srv.Addr())
 
 	// First SIGINT/SIGTERM starts the graceful drain; a second hard-exits
 	// (core.SignalContext's escalation). The wait-then-drain-with-deadline
 	// shape is core.AwaitDrain — the same two-stage semantics the sweep
 	// CLIs and dispatch workers share.
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtserve", os.Stderr)
-	defer stopSignals()
-	err = core.AwaitDrain(ctx, *drain, func(dctx context.Context) error {
+	err = core.AwaitDrain(p.Start(0), *drain, func(dctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "mtserve: draining (deadline %v)\n", *drain)
 		return srv.Shutdown(dctx)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mtserve: drain deadline passed; in-flight runs were canceled")
-		os.Exit(1)
+		p.Exit(fmt.Errorf("drain deadline passed; in-flight runs were canceled: %v", err))
 	}
 	fmt.Fprintln(os.Stderr, "mtserve: drained cleanly")
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtserve:", err)
-	os.Exit(1)
+	p.Exit(nil)
 }

@@ -15,21 +15,20 @@ package main
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/cost"
 	"mtier/internal/flow"
 	"mtier/internal/obs"
 	"mtier/internal/place"
 	"mtier/internal/trace"
+	"mtier/internal/wal"
 	"mtier/internal/workload"
 )
 
@@ -59,65 +58,29 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no deadline)")
 		traceEvt = flag.String("traceevents", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
 		hotspots = flag.Int("hotspots", 0, "report the K hottest links and per-tier utilization tables (0 = off)")
-		obsAddr  = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 		material = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
-	prof := obs.AddProfileFlags(flag.CommandLine)
+	p := cli.New("mtsim", flag.CommandLine)
 	flag.Parse()
+	// SIGINT/SIGTERM cancel the run at its next epoch boundary (so a
+	// mis-sized simulation dies cleanly instead of needing kill -9); a
+	// second signal hard-exits. -timeout bounds the run the same way.
+	ctx := p.Start(*timeout)
 
 	// Validate the enumerated flags up front so typos fail with the list
 	// of valid values instead of an error from deep inside the run.
 	kind, err := core.ParseTopoKind(*topoName)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
 	wkind, err := workload.ParseKind(*wName)
-	if err != nil {
-		die(err)
-	}
+	p.Check(err)
 	pol, err := place.ParsePolicy(*placePol)
-	if err != nil {
-		die(err)
-	}
-	if *timeout < 0 {
-		die(fmt.Errorf("negative -timeout %v", *timeout))
-	}
-
-	// SIGINT/SIGTERM cancel the run at its next epoch boundary (so a
-	// mis-sized simulation dies cleanly instead of needing kill -9); a
-	// second signal hard-exits. -timeout bounds the run the same way.
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtsim", os.Stderr)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	stop, err := prof.Start()
-	if err != nil {
-		die(err)
-	}
-	var metrics *obs.Registry
-	if *obsAddr != "" {
-		metrics = obs.NewRegistry()
-		srv, err := obs.NewServer(*obsAddr, metrics)
-		if err != nil {
-			die(err)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mtsim: observability endpoint on http://"+srv.Addr())
-	}
-	rep := core.RepAuto
-	if *material {
-		rep = core.RepMaterialized
-	}
-	err = run(ctx, core.Config{
+	p.Check(err)
+	p.Exit(run(ctx, core.Config{
 		Kind:      kind,
 		Endpoints: *n,
 		T:         *tFlag,
 		U:         *uFlag,
-		Rep:       rep,
+		Rep:       cli.Rep(*material),
 		Workload:  wkind,
 		Params: workload.Params{
 			Tasks:    *tasks,
@@ -135,45 +98,28 @@ func main() {
 			ExactRecompute:  *exact,
 			Workers:         *workers,
 			HotspotK:        *hotspots,
-			Metrics:         metrics,
+			Metrics:         p.Metrics,
 		},
-	}, *traceOut, *epochCSV, *traceEvt, *jsonOut, *fpOut)
-	stop()
-	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintln(os.Stderr, "mtsim: interrupted — partial run discarded:", err)
-			os.Exit(core.SignalExitCode)
-		case errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "mtsim: run exceeded -timeout %v — partial run discarded: %v\n", *timeout, err)
-			os.Exit(1)
-		}
-		die(err)
-	}
+	}, *traceOut, *epochCSV, *traceEvt, *jsonOut, *fpOut))
 }
 
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtsim:", err)
-	os.Exit(1)
-}
-
-func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt string, jsonOut, fpOut bool) error {
+func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt string, jsonOut, fpOut bool) (err error) {
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
+		f, cerr := os.Create(traceOut)
+		if cerr != nil {
+			return cerr
 		}
 		w := bufio.NewWriter(f)
 		fmt.Fprintln(w, "flow,src,dst,bytes,start,end")
 		cfg.Sim.Trace = w
 		defer func() {
-			// Simulate reports mid-run write errors; the final flush error
-			// still needs its own check.
-			if err := w.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtsim: flushing trace:", err)
+			// Simulate reports mid-run write errors; the final flush still
+			// needs its own check.
+			if ferr := w.Flush(); ferr != nil && err == nil {
+				err = fmt.Errorf("flushing trace: %w", ferr)
 			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtsim: closing trace:", err)
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("closing trace: %w", cerr)
 			}
 		}()
 	}
@@ -193,40 +139,23 @@ func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt stri
 		return err
 	}
 	if flight != nil {
-		f, err := os.Create(traceEvt)
-		if err != nil {
+		if err := wal.WriteFile(traceEvt, flight.WriteTraceEvents); err != nil {
 			return err
-		}
-		if err := flight.WriteTraceEvents(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace events: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing trace events: %w", err)
 		}
 	}
 	if rec != nil {
-		f, err := os.Create(epochCSV)
-		if err != nil {
+		if err := wal.WriteFile(epochCSV, rec.WriteCSV); err != nil {
 			return err
-		}
-		if err := rec.WriteCSV(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing epoch series: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing epoch series: %w", err)
 		}
 	}
 	if fpOut {
 		// The same digest mtserve returns in X-Mtier-Record-Sha256, so CI
 		// can assert CLI/daemon record identity without diffing documents.
-		fp, err := res.Record().Fingerprint()
+		sum, err := res.Record().SHA256()
 		if err != nil {
 			return err
 		}
-		sum := sha256.Sum256(fp)
-		fmt.Println(hex.EncodeToString(sum[:]))
+		fmt.Println(sum)
 		return nil
 	}
 	if jsonOut {

@@ -28,22 +28,14 @@
 package main
 
 import (
-	"bufio"
-	"context"
-	"crypto/sha256"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
-	"mtier/internal/dispatch"
 	"mtier/internal/flow"
-	"mtier/internal/obs"
-	"mtier/internal/report"
 	"mtier/internal/sched"
 	"mtier/internal/workload"
 )
@@ -63,32 +55,21 @@ func main() {
 		allocName   = flag.String("alloc", "firstfit", "allocation policy for -spec campaigns: firstfit|randomfit")
 		shared      = flag.Bool("shared", false, "replay each -spec cell's schedule on a shared fabric")
 		csv         = flag.Bool("csv", false, "emit CSV")
-		progress    = flag.Bool("progress", true, "render a live progress line on stderr")
-		records     = flag.String("records", "", "append one JSON run record per cell to this file (JSONL)")
 		exact       = flag.Bool("exact", false, "use the reference full-recompute waterfill instead of the incremental engine")
-		journalPath = flag.String("journal", "", "checkpoint every completed cell to this JSONL journal (fresh file)")
-		resumePath  = flag.String("resume", "", "resume from this journal: skip already-completed cells and keep appending to it")
-		cellTimeout = flag.Duration("celltimeout", 0, "per-cell deadline (0 = none); timed-out cells are retried")
-		retries     = flag.Int("retries", 0, "extra same-seed attempts for a cell that exceeds -celltimeout")
-		memBudget   = flag.Int64("membudget", 0, "soft heap budget in bytes (0 = off); concurrency is shed while over it")
 		fpr         = flag.Bool("fingerprint", false, "print a sha256 over the canonical run records of all cells (determinism / resume check)")
-		obsAddr     = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 		jverify     = flag.String("journal-verify", "", "verify this sweep journal standalone (schema, per-record sha256, crash tail) and exit; no sweep runs")
 		material    = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
-	prof := obs.AddProfileFlags(flag.CommandLine)
-	disp := dispatch.AddCLIFlags(flag.CommandLine)
+	p := cli.New("mtsweep", flag.CommandLine)
+	cf := cli.AddCampaignFlags(flag.CommandLine)
 	flag.Parse()
 
+	if cf.Dispatch.WorkerMode() {
+		p.Exit(cli.Status(cf.Dispatch.RunWorkerMain("mtsweep", *workers)))
+	}
+	ctx := p.Start(0)
 	if *jverify != "" {
-		os.Exit(verifyJournalCLI(*jverify))
-	}
-
-	if *material {
-		topoRep = core.RepMaterialized
-	}
-	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtsweep", *workers))
+		p.Exit(verifyJournal(*jverify))
 	}
 
 	var kinds []workload.Kind
@@ -98,25 +79,23 @@ func main() {
 	if *specPath != "" {
 		// Open-system campaign: the spec's clients define the workload
 		// mix, so the closed-system workload selectors do not apply.
-		if *setName != "" || *wName != "" {
-			die(fmt.Errorf("-spec replaces -set/-workload: the spec's clients define the job mix"))
+		switch {
+		case *setName != "" || *wName != "":
+			p.Exit(fmt.Errorf("-spec replaces -set/-workload: the spec's clients define the job mix"))
+		case cf.Journal != "" || cf.Resume != "":
+			p.Exit(fmt.Errorf("-journal/-resume do not support -spec campaigns yet"))
+		case cf.Dispatch.WorkersExec > 0:
+			p.Exit(fmt.Errorf("-workers-exec does not support -spec campaigns yet"))
 		}
-		if *journalPath != "" || *resumePath != "" {
-			die(fmt.Errorf("-journal/-resume do not support -spec campaigns yet"))
-		}
-		if spec, err = workload.LoadSpec(*specPath); err != nil {
-			die(err)
-		}
-		if alloc, err = sched.ParseAllocPolicy(*allocName); err != nil {
-			die(err)
-		}
+		spec, err = workload.LoadSpec(*specPath)
+		p.Check(err)
+		alloc, err = sched.ParseAllocPolicy(*allocName)
+		p.Check(err)
 	} else {
 		switch {
 		case *wName != "":
 			k, err := workload.ParseKind(*wName)
-			if err != nil {
-				die(err)
-			}
+			p.Check(err)
 			kinds = []workload.Kind{k}
 		case *setName == "heavy":
 			kinds = workload.HeavyKinds()
@@ -125,156 +104,76 @@ func main() {
 		case *setName == "all" || *setName == "":
 			kinds = workload.Kinds()
 		default:
-			die(fmt.Errorf("unknown set %q (valid: heavy, light, all)", *setName))
+			p.Exit(fmt.Errorf("unknown set %q (valid: heavy, light, all)", *setName))
 		}
 	}
 
-	runner := core.RunnerOptions{
-		CellTimeout:    *cellTimeout,
-		MaxRetries:     *retries,
-		MemBudgetBytes: *memBudget,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "\nmtsweep: "+format+"\n", args...)
-		},
-	}
-	// Flag validation up front, in the same early-exit style as the
-	// -workload parsing above: an unreadable journal or a nonsensical
+	// Flag validation up front: an unreadable journal or a nonsensical
 	// timeout must fail before the topology set is built.
-	if err := runner.Validate(); err != nil {
-		die(err)
-	}
-	journal, err := openJournal(*journalPath, *resumePath)
-	if err != nil {
-		die(err)
-	}
-
-	ctx, stopSignals := core.SignalContext(context.Background(), "mtsweep", os.Stderr)
-	defer stopSignals()
-
-	stop, err := prof.Start()
-	if err != nil {
-		die(err)
-	}
-	var srv *obs.Server
-	var metrics *obs.Registry
-	if *obsAddr != "" {
-		metrics = obs.NewRegistry()
-		if srv, err = obs.NewServer(*obsAddr, metrics); err != nil {
-			die(err)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mtsweep: observability endpoint on http://"+srv.Addr())
-	}
-	panelOpt := core.PanelOptions{
+	camp, err := p.OpenCampaign(cf, *fpr)
+	p.Check(err)
+	r := &run{p: p, sink: camp.Sink, n: *n, rep: cli.Rep(*material), csv: *csv}
+	opt := core.PanelOptions{
 		Seed:     *seed,
 		Tasks:    *tasks,
 		MsgBytes: *msg,
 		Workers:  *cellWorkers,
-		Sim:      flow.Options{RelEpsilon: *eps, ExactRecompute: *exact, Workers: *workers, Metrics: metrics},
-		Runner:   runner,
-		Journal:  journal,
+		Sim:      flow.Options{RelEpsilon: *eps, ExactRecompute: *exact, Workers: *workers, Metrics: p.Metrics},
+		Runner:   camp.Runner,
+		Journal:  camp.Journal,
 	}
-	if disp.WorkersExec > 0 {
-		switch {
-		case spec != nil:
-			die(fmt.Errorf("-workers-exec does not support -spec campaigns yet"))
-		case *journalPath != "" || *resumePath != "":
-			die(fmt.Errorf("-journal/-resume conflict with -workers-exec: the campaign dir's per-worker journals and merged journal replace them"))
-		case disp.Dir == "":
-			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
-		}
-		code := sweepDispatch(ctx, disp, kinds, *n, *cellWorkers, *workers, *csv, *progress, *records, *fpr, srv, metrics, panelOpt)
-		stop()
-		os.Exit(code)
-	}
-	if spec != nil {
-		err = sweepSpec(ctx, spec, *n, alloc, *shared, *csv, *progress, *records, *fpr, srv, panelOpt)
-	} else {
-		err = sweep(ctx, kinds, *n, *cellWorkers, *csv, *progress, *records, *fpr, srv, panelOpt)
-	}
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "mtsweep: closing journal:", cerr)
-		}
-	}
-	stop()
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mtsweep:", err)
-			if journal != nil {
-				fmt.Fprintf(os.Stderr, "mtsweep: %d cell(s) checkpointed — resume with: mtsweep <same flags> -resume %s\n",
-					journal.Len(), journal.Path())
-			}
-			os.Exit(core.SignalExitCode)
-		}
-		die(err)
-	}
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mtsweep:", err)
-	os.Exit(1)
-}
-
-// openJournal resolves the -journal/-resume pair: -journal starts a
-// fresh checkpoint file, -resume loads an existing one (rejecting
-// unreadable or corrupt files up front) and keeps appending to it.
-func openJournal(journalPath, resumePath string) (*core.Journal, error) {
 	switch {
-	case journalPath != "" && resumePath != "":
-		return nil, fmt.Errorf("-journal and -resume are mutually exclusive: -resume already appends to the journal it loads")
-	case resumePath != "":
-		j, err := core.OpenJournal(resumePath)
-		if err != nil {
-			return nil, err
+	case spec != nil:
+		err = r.sweepSpec(spec, alloc, *shared, cf.Progress, opt)
+	case cf.Dispatch.WorkersExec > 0:
+		var cfgs []core.Config
+		for _, w := range kinds {
+			for _, cell := range core.PanelGrid(*n, core.PaperPoints(), w, opt) {
+				cfgs = append(cfgs, cell.Config)
+			}
 		}
-		fmt.Fprintf(os.Stderr, "mtsweep: resuming from %s (%d cell(s) already completed)\n", resumePath, j.Len())
-		return j, nil
-	case journalPath != "":
-		return core.CreateJournal(journalPath)
+		err = cf.Dispatch.Campaign(ctx, "mtsweep", cfgs, *workers, p.Metrics, p.Meter(len(cfgs), cf.Progress),
+			func(merged *core.Journal) error {
+				opt.Journal = merged
+				return r.sweep(kinds, false, opt)
+			})
 	default:
-		return nil, nil
+		err = r.sweep(kinds, cf.Progress, opt)
 	}
+	if err == nil && *fpr {
+		fmt.Printf("fingerprint %s\n", camp.Sink.Fingerprint())
+	}
+	p.Exit(camp.Close(err))
 }
 
-// topoRep is the topology representation for set builds, flipped to
-// RepMaterialized by -materialize. Cell results are bit-identical either
-// way; only build time and memory move.
-var topoRep = core.RepAuto
+// run is one mtsweep invocation's fixed inputs.
+type run struct {
+	p    *cli.Process
+	sink *cli.Sink
+	n    int
+	rep  core.Representation
+	csv  bool
+}
 
-func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) error {
+func (r *run) buildSet(workers int) (*core.TopoSet, error) {
 	start := time.Now()
-	set, err := core.BuildSetRep(ctx, n, cellWorkers, topoRep)
+	set, err := core.BuildSetRep(r.p.Ctx, r.n, workers, r.rep)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "mtsweep: built %d-endpoint topology set in %v\n", r.n, time.Since(start))
+	return set, nil
+}
+
+// sweep runs one closed-system panel per workload kind; draw renders the
+// live progress line.
+func (r *run) sweep(kinds []workload.Kind, draw bool, opt core.PanelOptions) error {
+	set, err := r.buildSet(opt.Workers)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "mtsweep: built %d-endpoint topology set in %v\n", n, time.Since(start))
-
 	// One meter spans the whole sweep so the ETA covers all panels.
-	var meter *obs.ProgressMeter
-	if progress {
-		meter = obs.NewProgressMeter(os.Stderr, len(kinds)*core.PanelCells(set))
-	} else if srv != nil {
-		// No terminal line wanted, but /progress should still serve: an
-		// inert meter (nil writer) tracks counts without drawing.
-		meter = obs.NewProgressMeter(nil, len(kinds)*core.PanelCells(set))
-	}
-	if srv != nil {
-		srv.SetProgress(meter)
-	}
-
-	sink, err := openRecordSink(records)
-	if err != nil {
-		return err
-	}
-	defer sink.Close()
-
-	// Per-cell fingerprints keyed by cell identity: cells complete
-	// concurrently, so the digest is assembled in sorted-key order at the
-	// end to stay independent of scheduling.
-	var fpMu sync.Mutex
-	fps := make(map[string][]byte)
-
+	meter := r.p.Meter(len(kinds)*core.PanelCells(set), draw)
 	for _, k := range kinds {
 		w := k
 		opt.OnCell = func(kind core.TopoKind, pt core.Point, res *core.RunResult, cached bool) {
@@ -287,40 +186,22 @@ func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, 
 			} else {
 				meter.Step(label)
 			}
-			if sink != nil || fpr {
-				line, err := res.Record().MarshalLine()
-				if err == nil && fpr {
-					fp, ferr := res.Record().Fingerprint()
-					if ferr == nil {
-						fpMu.Lock()
-						fps[fmt.Sprintf("%s/%s/%s", w, kind, pt.Label())] = fp
-						fpMu.Unlock()
-					}
-				}
-				if sink != nil {
-					if err == nil {
-						sink.Write(line)
-					} else {
-						fmt.Fprintln(os.Stderr, "\nmtsweep: encoding record:", err)
-					}
-				}
-			}
+			// Cells complete concurrently: the sink digests them in
+			// sorted-key order to stay independent of scheduling.
+			r.sink.Add(fmt.Sprintf("%s/%s/%s", w, kind, pt.Label()), res.Record())
 		}
-		fig, err := core.PanelContext(ctx, set, w, opt)
+		fig, err := core.PanelContext(r.p.Ctx, set, w, opt)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w, err)
 		}
-		if meter != nil {
-			// Clear the live line before the table lands on stdout, in case
-			// both streams share a terminal.
-			fmt.Fprint(os.Stderr, "\r\033[K")
+		// Clear the live line before the table lands on stdout, in case
+		// both streams share a terminal.
+		meter.Clear()
+		if err := cli.Emit(fig.Table(), r.csv); err != nil {
+			return err
 		}
-		emit(fig, csv)
 	}
 	meter.Finish()
-	if fpr {
-		printFingerprint(fps)
-	}
 	return nil
 }
 
@@ -328,34 +209,13 @@ func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, 
 // (a pure function of the spec, so every cell schedules the identical
 // arrivals) placed onto every topology of the set — differences between
 // rows are purely architectural.
-func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.AllocPolicy, shared, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) error {
-	start := time.Now()
-	set, err := core.BuildSetRep(ctx, n, opt.Workers, topoRep)
+func (r *run) sweepSpec(spec *workload.OpenSpec, alloc sched.AllocPolicy, shared, draw bool, opt core.PanelOptions) error {
+	set, err := r.buildSet(opt.Workers)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "mtsweep: built %d-endpoint topology set in %v\n", n, time.Since(start))
-
-	var meter *obs.ProgressMeter
-	if progress {
-		meter = obs.NewProgressMeter(os.Stderr, core.PanelCells(set))
-	} else if srv != nil {
-		meter = obs.NewProgressMeter(nil, core.PanelCells(set))
-	}
-	if srv != nil {
-		srv.SetProgress(meter)
-	}
-
-	sink, err := openRecordSink(records)
-	if err != nil {
-		return err
-	}
-	defer sink.Close()
-
-	var fpMu sync.Mutex
-	fps := make(map[string][]byte)
-
-	tab, err := core.OpenPanelContext(ctx, set, spec, core.OpenPanelOptions{
+	meter := r.p.Meter(core.PanelCells(set), draw)
+	tab, err := core.OpenPanelContext(r.p.Ctx, set, spec, core.OpenPanelOptions{
 		Alloc:        alloc,
 		Sim:          opt,
 		SharedFabric: shared,
@@ -365,112 +225,45 @@ func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.
 				label += " " + cell.Pt.Label()
 			}
 			meter.Step(label)
-			if sink == nil && !fpr {
-				return
-			}
-			rec := cell.Record(core.OpenConfig{
+			r.sink.Add(fmt.Sprintf("%s/%s", cell.Kind, cell.Pt.Label()), cell.Record(core.OpenConfig{
 				Kind:       cell.Kind,
-				Endpoints:  n,
+				Endpoints:  r.n,
 				T:          cell.Pt.T,
 				U:          cell.Pt.U,
 				Allocation: alloc,
 				Spec:       spec,
-			})
-			if fpr {
-				if fp, ferr := rec.Fingerprint(); ferr == nil {
-					fpMu.Lock()
-					fps[fmt.Sprintf("%s/%s", cell.Kind, cell.Pt.Label())] = fp
-					fpMu.Unlock()
-				}
-			}
-			if sink != nil {
-				if line, lerr := rec.MarshalLine(); lerr == nil {
-					sink.Write(line)
-				} else {
-					fmt.Fprintln(os.Stderr, "\nmtsweep: encoding record:", lerr)
-				}
-			}
+			}))
 		},
 	})
 	if err != nil {
 		return err
 	}
-	if meter != nil {
-		fmt.Fprint(os.Stderr, "\r\033[K")
-	}
-	if csv {
-		_ = tab.WriteCSV(os.Stdout)
-	} else {
-		_ = tab.WriteText(os.Stdout)
-		fmt.Println()
+	meter.Clear()
+	if err := cli.Emit(tab, r.csv); err != nil {
+		return err
 	}
 	meter.Finish()
-	if fpr {
-		printFingerprint(fps)
-	}
 	return nil
 }
 
-// recordSink streams one JSON line per completed cell to a JSONL file,
-// serialising concurrent writers. A nil sink discards everything.
-type recordSink struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-func openRecordSink(path string) (*recordSink, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Create(path)
+// verifyJournal is the -journal-verify mode: walk one journal
+// standalone, report every issue with its line number and byte offset,
+// and fail when any record failed.
+func verifyJournal(path string) error {
+	rep, err := core.VerifyJournal(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &recordSink{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (s *recordSink) Write(line []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.w.Write(line); err != nil {
-		fmt.Fprintln(os.Stderr, "\nmtsweep: writing record:", err)
+	fmt.Printf("journal %s: %d record(s), %d checksummed, %d issue(s), %d tail byte(s)\n",
+		rep.Path, rep.Records, rep.Checksummed, len(rep.Issues), rep.TailBytes)
+	if rep.TailBytes > 0 {
+		fmt.Println("  note: unterminated final line (crash remnant) — resuming via -resume repairs it")
 	}
-}
-
-func (s *recordSink) Close() {
-	if s == nil {
-		return
+	for _, is := range rep.Issues {
+		fmt.Printf("  line %d (byte offset %d): %s\n", is.Line, is.Offset, is.Detail)
 	}
-	if err := s.w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtsweep: flushing records:", err)
+	if !rep.Clean() {
+		return cli.Status(1)
 	}
-	if err := s.f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtsweep: closing records:", err)
-	}
-}
-
-// printFingerprint digests the per-cell fingerprints in sorted-key order
-// (cells complete concurrently) and prints the campaign checksum.
-func printFingerprint(fps map[string][]byte) {
-	keys := make([]string, 0, len(fps))
-	for k := range fps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write(fps[k])
-	}
-	fmt.Printf("fingerprint %x\n", h.Sum(nil))
-}
-
-func emit(fig *report.Figure, csv bool) {
-	tab := fig.Table()
-	if csv {
-		_ = tab.WriteCSV(os.Stdout)
-	} else {
-		_ = tab.WriteText(os.Stdout)
-		fmt.Println()
-	}
+	return nil
 }

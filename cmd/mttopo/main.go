@@ -15,77 +15,49 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 
+	"mtier/internal/cli"
 	"mtier/internal/core"
 	"mtier/internal/metrics"
-	"mtier/internal/obs"
 	"mtier/internal/report"
 )
 
 func main() {
 	var (
-		n       = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
-		samples = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
-		seed    = flag.Int64("seed", 1, "sampling seed")
-		one     = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
-		tFlag   = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
-		uFlag   = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
-		workers = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
+		n        = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
+		samples  = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
+		seed     = flag.Int64("seed", 1, "sampling seed")
+		one      = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
+		tFlag    = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
+		uFlag    = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
+		workers  = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
 		csv      = flag.Bool("csv", false, "emit CSV")
-		obsAddr  = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 		material = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; measured values are identical to the default implicit one")
 	)
-	prof := obs.AddProfileFlags(flag.CommandLine)
+	p := cli.New("mttopo", flag.CommandLine)
 	flag.Parse()
 
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr, obs.NewRegistry())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mttopo:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "mttopo: observability endpoint on http://"+srv.Addr())
-	}
+	ctx := p.Start(0)
 
-	rep := core.RepAuto
-	if *material {
-		rep = core.RepMaterialized
+	rep := cli.Rep(*material)
+	if *one != "" {
+		kind, err := core.ParseTopoKind(*one)
+		p.Check(err)
+		p.Exit(analyseOne(kind, *n, *tFlag, *uFlag, *samples, *workers, *seed, *csv, rep))
 	}
-	if err := run(prof, *one, *n, *tFlag, *uFlag, *samples, *workers, *seed, *csv, rep); err != nil {
-		fmt.Fprintln(os.Stderr, "mttopo:", err)
-		os.Exit(1)
-	}
+	p.Exit(table1(ctx, *n, *samples, *workers, *seed, *csv, rep))
 }
 
-func run(prof *obs.ProfileFlags, one string, n, t, u, samples, workers int, seed int64, csv bool, rep core.Representation) error {
-	var kind core.TopoKind
-	if one != "" {
-		var err error
-		if kind, err = core.ParseTopoKind(one); err != nil {
-			return err
-		}
-	}
-	stop, err := prof.Start()
+func table1(ctx context.Context, n, samples, workers int, seed int64, csv bool, rep core.Representation) error {
+	set, err := core.BuildSetRep(ctx, n, workers, rep)
 	if err != nil {
 		return err
 	}
-	defer stop()
-
-	if one != "" {
-		return analyseOne(kind, n, t, u, samples, workers, seed, csv, rep)
-	}
-	set, err := core.BuildSetRep(context.Background(), n, workers, rep)
+	tab, err := core.Table1Context(ctx, set, samples, seed, workers)
 	if err != nil {
 		return err
 	}
-	tab, err := core.Table1Context(context.Background(), set, samples, seed, workers)
-	if err != nil {
-		return err
-	}
-	emit(tab, csv)
-	return nil
+	return cli.Emit(tab, csv)
 }
 
 func analyseOne(kind core.TopoKind, n, t, u, samples, workers int, seed int64, csv bool, rep core.Representation) error {
@@ -106,7 +78,9 @@ func analyseOne(kind core.TopoKind, n, t, u, samples, workers int, seed int64, c
 		}
 		tab.AddRow(d, c, float64(c)/float64(s.Pairs))
 	}
-	emit(tab, csv)
+	if err := cli.Emit(tab, csv); err != nil {
+		return err
+	}
 	fmt.Printf("\nendpoints=%d vertices=%d links=%d\n", top.NumEndpoints(), top.NumVertices(), top.NumLinks())
 	fmt.Printf("mean=%.4f (exact=%v)  max=%d (exact=%v)  pairs=%d\n",
 		s.Mean, s.ExactMean, s.Max, s.ExactMax, s.Pairs)
@@ -114,12 +88,4 @@ func analyseOne(kind core.TopoKind, n, t, u, samples, workers int, seed int64, c
 	fmt.Printf("uniform channel load: max=%.3f mean=%.3f  saturation throughput=%.3f of line rate\n",
 		ll.MaxLoad, ll.MeanLoad, ll.Throughput)
 	return nil
-}
-
-func emit(tab *report.Table, csv bool) {
-	if csv {
-		_ = tab.WriteCSV(os.Stdout)
-		return
-	}
-	_ = tab.WriteText(os.Stdout)
 }

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,27 +59,6 @@ func (f *CLIFlags) RunWorkerMain(prog string, simWorkers int) int {
 	})
 }
 
-// Options assembles coordinator options from the parsed flags. dir must
-// have been validated non-empty by the caller.
-func (f *CLIFlags) Options(spawn Spawner, metrics *obs.Registry, meter *obs.ProgressMeter, logf func(string, ...any)) (Options, error) {
-	mode, err := ParseVerifyMode(f.Verify)
-	if err != nil {
-		return Options{}, err
-	}
-	return Options{
-		Dir:         f.Dir,
-		Workers:     f.WorkersExec,
-		LeaseTTL:    f.LeaseTTL,
-		PoisonAfter: f.PoisonAfter,
-		DrainGrace:  f.DrainGrace,
-		Verify:      mode,
-		Spawn:       spawn,
-		Metrics:     metrics,
-		Meter:       meter,
-		Logf:        logf,
-	}, nil
-}
-
 // SelfSpawner builds the Spawner the CLIs use: re-exec this binary in
 // -worker mode, forwarding extraArgs (the simulation-affecting flags the
 // worker should inherit, e.g. -workers). Worker stderr is passed
@@ -126,28 +106,61 @@ func PrintReport(w io.Writer, prog string, rep *Report) int {
 	return 1
 }
 
-// RunCampaign is the whole coordinator-side CLI flow: enumerate →
-// dispatch → merge → verify → report. It returns the merged journal
-// (reopened for the caller's replay) when the campaign is clean, or
-// (nil, exitCode) when cells were quarantined or the run failed.
-func RunCampaign(ctx context.Context, prog string, cells []Cell, opt Options) (*core.Journal, int) {
-	rep, err := Run(ctx, cells, opt)
+// Campaign is the coordinator side of a dispatching CLI: it runs cfgs as
+// a distributed campaign — leased to -workers-exec worker processes of
+// this binary, merged, verified and reported — and then replays the
+// merged journal through replay. The replay is the command's unchanged
+// serial code path with every cell spliced from the journal, so its
+// tables, records and fingerprint come from the same code as a
+// single-process run. meter advances once per cell; prog prefixes the
+// log lines.
+func (f *CLIFlags) Campaign(ctx context.Context, prog string, cfgs []core.Config, simWorkers int,
+	metrics *obs.Registry, meter *obs.ProgressMeter, replay func(merged *core.Journal) error) error {
+	cells, err := Cells(cfgs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-		if ctx.Err() != nil {
-			return nil, core.SignalExitCode
-		}
-		return nil, 1
+		return err
 	}
-	if code := PrintReport(os.Stderr, prog, rep); code != 0 {
-		return nil, code
+	mode, err := ParseVerifyMode(f.Verify)
+	if err != nil {
+		return err
+	}
+	spawn, err := SelfSpawner([]string{"-workers", strconv.Itoa(simWorkers)})
+	if err != nil {
+		return err
+	}
+	rep, err := Run(ctx, cells, Options{
+		Dir:         f.Dir,
+		Workers:     f.WorkersExec,
+		LeaseTTL:    f.LeaseTTL,
+		PoisonAfter: f.PoisonAfter,
+		DrainGrace:  f.DrainGrace,
+		Verify:      mode,
+		Spawn:       spawn,
+		Metrics:     metrics,
+		Meter:       meter,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "\n"+prog+": "+format+"\n", args...)
+		},
+	})
+	meter.Finish()
+	if err != nil {
+		if ctx.Err() != nil && !errors.Is(err, ctx.Err()) {
+			err = fmt.Errorf("%w: %v", ctx.Err(), err)
+		}
+		return err
+	}
+	if PrintReport(os.Stderr, prog, rep) != 0 {
+		return fmt.Errorf("campaign incomplete: %d cell(s) quarantined", len(rep.Poisoned))
 	}
 	merged, err := core.OpenJournal(rep.MergedPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: reopening merged journal: %v\n", prog, err)
-		return nil, 1
+		return fmt.Errorf("reopening merged journal: %w", err)
 	}
-	return merged, 0
+	defer merged.Close()
+	if err := replay(merged); err != nil {
+		return fmt.Errorf("replaying merged campaign: %w", err)
+	}
+	return nil
 }
 
 func splitLines(s string, max int) []string {

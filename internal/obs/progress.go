@@ -139,6 +139,18 @@ func (p *ProgressMeter) Snapshot() ProgressSnapshot {
 	return s
 }
 
+// Clear erases the live line so output landing on a shared terminal
+// starts clean; the next step redraws it.
+func (p *ProgressMeter) Clear() {
+	if p == nil || p.w == nil || p.total <= 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fmt.Fprint(p.w, "\r\033[K")
+	p.lastLen = 0
+}
+
 // Finish clears the live line and prints a one-line summary with the
 // total elapsed time.
 func (p *ProgressMeter) Finish() {

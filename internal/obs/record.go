@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"runtime"
@@ -112,4 +114,25 @@ func (r *RunRecord) Fingerprint() ([]byte, error) {
 	c := *r
 	c.Phases = PhaseTimings{}
 	return json.Marshal(&c)
+}
+
+// SHA256 is the hex sha256 of the record's Fingerprint: the digest
+// mtserve returns in X-Mtier-Record-Sha256 and the CLIs print for
+// -fingerprint.
+func (r *RunRecord) SHA256() (string, error) {
+	fp, err := r.Fingerprint()
+	if err != nil {
+		return "", err
+	}
+	return Digest(fp), nil
+}
+
+// Digest is the hex sha256 over fps concatenated in the order given: one
+// record's digest, or a campaign's over its cells' fingerprints.
+func Digest(fps ...[]byte) string {
+	h := sha256.New()
+	for _, fp := range fps {
+		h.Write(fp)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -563,15 +561,14 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, timeoutS float
 		s.writeRunError(w, r, err, deadline)
 		return
 	}
-	fp, err := rec.Fingerprint()
+	sum, err := rec.SHA256()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, errorDoc{Error: fmt.Sprintf("fingerprinting record: %v", err)})
 		return
 	}
-	sum := sha256.Sum256(fp)
 	s.reg.Counter("serve.completed").Inc()
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mtier-Record-Sha256", hex.EncodeToString(sum[:]))
+	w.Header().Set("X-Mtier-Record-Sha256", sum)
 	w.Header().Set("X-Mtier-Cache", cacheState(cacheHit))
 	rec.WriteJSON(w) //nolint:errcheck // client went away
 }

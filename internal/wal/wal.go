@@ -13,11 +13,17 @@
 // torn bytes stay a tail instead of becoming an interior line. Creating
 // a log also fsyncs its directory, so the new file's entry survives
 // power loss along with the records in it.
+//
+// WriteFile applies the same discipline to whole documents: a reader
+// sees either the previous file or the complete new one, never a
+// partial write.
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -162,6 +168,46 @@ func (l *Log) Close() error {
 	}
 	l.f = nil
 	return err
+}
+
+// WriteFile replaces the document at path with what write produces: it
+// writes a temporary file in the same directory, fsyncs it, renames it
+// over path and fsyncs the directory. A failure before the rename
+// removes the temporary file and leaves path as it was.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		return fmt.Errorf("wal: writing %s: %w", path, err)
+	}
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("wal: writing %s: %w", path, err)
+	}
+	if err := f.Chmod(0o644); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("wal: closing %s: %w", path, err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("wal: syncing the directory of %s: %w", path, err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory, making the entries of files just created

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -145,5 +146,52 @@ func TestConcurrentAppends(t *testing.T) {
 	sort.Strings(want)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("concurrent appends read back as %q", got)
+	}
+}
+
+// TestWriteFileReplacesAtomically: a successful WriteFile replaces the
+// document and syncs its directory; a failed one leaves the previous
+// document and no temporary file behind.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	var synced []string
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return nil
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.json")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	if err := WriteFile(path, write("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, write("second")); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || synced[0] != dir {
+		t.Fatalf("WriteFile synced directories %q, want [%q %q]", synced, dir, dir)
+	}
+	err := WriteFile(path, func(w io.Writer) error {
+		io.WriteString(w, "torn")
+		return errors.New("injected")
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("WriteFile ignored a failed write: %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil || string(b) != "second" {
+		t.Fatalf("document after a failed replace = %q, %v; want %q", b, err, "second")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed replace, want only the document", len(entries))
 	}
 }
