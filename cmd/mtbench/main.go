@@ -86,11 +86,10 @@ func regimes() []regime {
 			Params:   workload.Params{Seed: 1},
 			Sim:      flow.Options{Workers: 4},
 		}},
-		// The paper-scale regime: the full 131,072-endpoint machine on
-		// the implicit representation (RepAuto switches above the
-		// threshold). Dominated by closed-form routing of the ~2.2M
-		// AllReduce flows, it is the trajectory's canary for the
-		// implicit engine's throughput.
+		// The paper-scale regime: the full 131,072-endpoint machine,
+		// whose link table is never built. Dominated by closed-form
+		// routing of the ~2.2M AllReduce flows, it is the trajectory's
+		// canary for the closed-form engine's throughput.
 		{"nestghc-131k-allreduce", core.Config{
 			Kind: core.NestGHC, Endpoints: 131072, T: 4, U: 4,
 			Workload: workload.AllReduce,

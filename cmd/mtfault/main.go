@@ -62,7 +62,6 @@ func main() {
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		fpr         = flag.Bool("fingerprint", false, "print a sha256 over the canonical run records of all cells (determinism check)")
-		material    = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
 	p := cli.New("mtfault", flag.CommandLine)
 	cf := cli.AddCampaignFlags(flag.CommandLine)
@@ -76,7 +75,7 @@ func main() {
 	p.Check(err)
 	model, err := fault.ParseModel(*modelName)
 	p.Check(err)
-	specs, err := parseTopos(*topos, *n, *t, *u, cli.Rep(*material))
+	specs, err := parseTopos(*topos, *n, *t, *u)
 	p.Check(err)
 	fracs, err := parseFractions(*fractions)
 	p.Check(err)
@@ -114,7 +113,7 @@ func main() {
 
 // parseTopos resolves the -topos list into validated TopoSpecs, applying
 // the (t, u) design point to the hybrid families only.
-func parseTopos(list string, n, t, u int, rep core.Representation) ([]core.TopoSpec, error) {
+func parseTopos(list string, n, t, u int) ([]core.TopoSpec, error) {
 	var specs []core.TopoSpec
 	for _, name := range strings.Split(list, ",") {
 		if strings.TrimSpace(name) == "" {
@@ -124,7 +123,7 @@ func parseTopos(list string, n, t, u int, rep core.Representation) ([]core.TopoS
 		if err != nil {
 			return nil, err
 		}
-		spec := core.TopoSpec{Kind: kind, Endpoints: n, Rep: rep}
+		spec := core.TopoSpec{Kind: kind, Endpoints: n}
 		switch kind {
 		case core.NestTree, core.NestGHC:
 			spec.T, spec.U = t, u

@@ -58,7 +58,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no deadline)")
 		traceEvt = flag.String("traceevents", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
 		hotspots = flag.Int("hotspots", 0, "report the K hottest links and per-tier utilization tables (0 = off)")
-		material = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
 	p := cli.New("mtsim", flag.CommandLine)
 	flag.Parse()
@@ -80,7 +79,6 @@ func main() {
 		Endpoints: *n,
 		T:         *tFlag,
 		U:         *uFlag,
-		Rep:       cli.Rep(*material),
 		Workload:  wkind,
 		Params: workload.Params{
 			Tasks:    *tasks,

@@ -58,7 +58,6 @@ func main() {
 		exact       = flag.Bool("exact", false, "use the reference full-recompute waterfill instead of the incremental engine")
 		fpr         = flag.Bool("fingerprint", false, "print a sha256 over the canonical run records of all cells (determinism / resume check)")
 		jverify     = flag.String("journal-verify", "", "verify this sweep journal standalone (schema, per-record sha256, crash tail) and exit; no sweep runs")
-		material    = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; results are bit-identical to the default implicit one")
 	)
 	p := cli.New("mtsweep", flag.CommandLine)
 	cf := cli.AddCampaignFlags(flag.CommandLine)
@@ -112,7 +111,7 @@ func main() {
 	// timeout must fail before the topology set is built.
 	camp, err := p.OpenCampaign(cf, *fpr)
 	p.Check(err)
-	r := &run{p: p, sink: camp.Sink, n: *n, rep: cli.Rep(*material), csv: *csv}
+	r := &run{p: p, sink: camp.Sink, n: *n, csv: *csv}
 	opt := core.PanelOptions{
 		Seed:     *seed,
 		Tasks:    *tasks,
@@ -151,13 +150,12 @@ type run struct {
 	p    *cli.Process
 	sink *cli.Sink
 	n    int
-	rep  core.Representation
 	csv  bool
 }
 
 func (r *run) buildSet(workers int) (*core.TopoSet, error) {
 	start := time.Now()
-	set, err := core.BuildSetRep(r.p.Ctx, r.n, workers, r.rep)
+	set, err := core.BuildSetContext(r.p.Ctx, r.n, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -24,32 +24,30 @@ import (
 
 func main() {
 	var (
-		n        = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
-		samples  = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
-		seed     = flag.Int64("seed", 1, "sampling seed")
-		one      = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
-		tFlag    = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
-		uFlag    = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
-		workers  = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
-		csv      = flag.Bool("csv", false, "emit CSV")
-		material = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; measured values are identical to the default implicit one")
+		n       = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
+		samples = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
+		seed    = flag.Int64("seed", 1, "sampling seed")
+		one     = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
+		tFlag   = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
+		uFlag   = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
+		workers = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
+		csv     = flag.Bool("csv", false, "emit CSV")
 	)
 	p := cli.New("mttopo", flag.CommandLine)
 	flag.Parse()
 
 	ctx := p.Start(0)
 
-	rep := cli.Rep(*material)
 	if *one != "" {
 		kind, err := core.ParseTopoKind(*one)
 		p.Check(err)
-		p.Exit(analyseOne(kind, *n, *tFlag, *uFlag, *samples, *workers, *seed, *csv, rep))
+		p.Exit(analyseOne(kind, *n, *tFlag, *uFlag, *samples, *workers, *seed, *csv))
 	}
-	p.Exit(table1(ctx, *n, *samples, *workers, *seed, *csv, rep))
+	p.Exit(table1(ctx, *n, *samples, *workers, *seed, *csv))
 }
 
-func table1(ctx context.Context, n, samples, workers int, seed int64, csv bool, rep core.Representation) error {
-	set, err := core.BuildSetRep(ctx, n, workers, rep)
+func table1(ctx context.Context, n, samples, workers int, seed int64, csv bool) error {
+	set, err := core.BuildSetContext(ctx, n, workers)
 	if err != nil {
 		return err
 	}
@@ -60,8 +58,8 @@ func table1(ctx context.Context, n, samples, workers int, seed int64, csv bool, 
 	return cli.Emit(tab, csv)
 }
 
-func analyseOne(kind core.TopoKind, n, t, u, samples, workers int, seed int64, csv bool, rep core.Representation) error {
-	spec := core.TopoSpec{Kind: kind, Endpoints: n, Rep: rep}
+func analyseOne(kind core.TopoKind, n, t, u, samples, workers int, seed int64, csv bool) error {
+	spec := core.TopoSpec{Kind: kind, Endpoints: n}
 	switch kind {
 	case core.NestTree, core.NestGHC:
 		spec.T, spec.U = t, u

@@ -162,12 +162,3 @@ func Emit(tab *report.Table, csv bool) error {
 	_, err := fmt.Println()
 	return err
 }
-
-// Rep maps the -materialize flag to a topology representation. Results
-// are bit-identical either way; only build time and memory move.
-func Rep(materialize bool) core.Representation {
-	if materialize {
-		return core.RepMaterialized
-	}
-	return core.RepAuto
-}

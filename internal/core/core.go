@@ -106,10 +106,6 @@ type Config struct {
 	// Hybrid parameters (ignored by Torus3D/Fattree).
 	T int `json:"t,omitempty"`
 	U int `json:"u,omitempty"`
-	// Rep selects the link-structure representation when RunContext builds
-	// the topology itself. Excluded from records and cell keys:
-	// representation never changes results, only their memory footprint.
-	Rep Representation `json:"-"`
 	// Workload and its parameters. Params.Tasks defaults to the workload's
 	// DefaultTasks for the system size.
 	Workload workload.Kind   `json:"workload"`
@@ -226,7 +222,7 @@ func RunContext(ctx context.Context, cfg Config, top topo.Topology) (*RunResult,
 		// Config documents T/U as ignored by the flat families, so the
 		// spec is assembled conditionally rather than strictly: replayed
 		// records may carry hybrid parameters alongside a flat kind.
-		spec := TopoSpec{Kind: cfg.Kind, Endpoints: cfg.Endpoints, Rep: cfg.Rep}
+		spec := TopoSpec{Kind: cfg.Kind, Endpoints: cfg.Endpoints}
 		switch cfg.Kind {
 		case NestTree, NestGHC:
 			spec.T, spec.U = cfg.T, cfg.U

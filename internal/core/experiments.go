@@ -35,14 +35,6 @@ func BuildSet(n int, workers int) (*TopoSet, error) {
 // dispatching new build jobs, so an interrupted campaign does not finish
 // constructing a hundred-thousand-endpoint topology set first.
 func BuildSetContext(ctx context.Context, n int, workers int) (*TopoSet, error) {
-	return BuildSetRep(ctx, n, workers, RepAuto)
-}
-
-// BuildSetRep is BuildSetContext with an explicit representation — the
-// hook behind the CLIs' -materialize escape hatch. RepAuto picks the
-// implicit representation above the size threshold; results are
-// bit-identical either way, only build time and memory move.
-func BuildSetRep(ctx context.Context, n int, workers int, rep Representation) (*TopoSet, error) {
 	s := &TopoSet{
 		Endpoints: n,
 		Points:    PaperPoints(),
@@ -64,7 +56,7 @@ func BuildSetRep(ctx context.Context, n int, workers int, rep Representation) (*
 	var mu sync.Mutex
 	err := runCells(ctx, len(jobs), workers, RunnerOptions{}, func(_ context.Context, i int) error {
 		j := jobs[i]
-		t, err := Build(TopoSpec{Kind: j.kind, Endpoints: n, T: j.pt.T, U: j.pt.U, Rep: rep})
+		t, err := Build(TopoSpec{Kind: j.kind, Endpoints: n, T: j.pt.T, U: j.pt.U})
 		if err != nil {
 			return fmt.Errorf("core: building %s %s: %w", j.kind, j.pt.Label(), err)
 		}

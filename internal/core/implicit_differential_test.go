@@ -2,24 +2,25 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"mtier/internal/fault"
 	"mtier/internal/flow"
+	"mtier/internal/topo"
+	"mtier/internal/topo/fattree"
+	"mtier/internal/topo/ghc"
+	"mtier/internal/topo/nest"
+	"mtier/internal/topo/torus"
 	"mtier/internal/workload"
 )
 
-// The implicit topology representation must be invisible to results: a
-// cell simulated on an implicit topology must produce a byte-identical
-// run record — every float64 down to the last bit — to the same cell on
-// the materialised topology, for every paper workload and every family
-// with a closed form. These tests are the contract that lets RepAuto
-// switch representations by size without perturbing a single published
-// number.
+// The closed-form link ids must be invisible to results: a cell simulated
+// on a topology as Build returns it must produce a byte-identical run
+// record — every float64 down to the last bit — to the same cell on a
+// reference whose link ends are read from its stored link table, for
+// every paper workload and every family with a closed form.
 
 // implicitFamilies is the closed-form family grid at differential scale,
 // hybrids at the (2,4) design point.
@@ -31,9 +32,67 @@ var implicitFamilies = []struct {
 	{NestTree, 2, 4}, {NestGHC, 2, 4},
 }
 
-// TestImplicitMatchesMaterializedPaperWorkloads is the representation
+// The table-served wrappers embed a closed-form family and override only
+// LinkEnds to read the stored link table, so topo.LinkAt, fault
+// generation and fault.Degraded's adjacency see Links() while routing,
+// topo.MultiRouter and topo.Tiered stay promoted.
+type (
+	tableTorus struct{ *torus.Torus }
+	tableGTree struct{ *fattree.GTree }
+	tableGHC   struct{ *ghc.GHC }
+	tableNest  struct{ *nest.Nest }
+)
+
+func tableEnds(t topo.Topology, id int32) (from, to int32) {
+	l := t.Links()[id]
+	return l.From, l.To
+}
+
+func (t tableTorus) LinkEnds(id int32) (from, to int32) { return tableEnds(t, id) }
+func (t tableGTree) LinkEnds(id int32) (from, to int32) { return tableEnds(t, id) }
+func (t tableGHC) LinkEnds(id int32) (from, to int32)   { return tableEnds(t, id) }
+func (t tableNest) LinkEnds(id int32) (from, to int32)  { return tableEnds(t, id) }
+
+// tableServed builds cfg's topology and wraps it so its link ends come
+// from the stored table.
+func tableServed(t *testing.T, cfg Config) topo.Topology {
+	t.Helper()
+	top, err := Build(TopoSpec{Kind: cfg.Kind, Endpoints: cfg.Endpoints, T: cfg.T, U: cfg.U})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch x := top.(type) {
+	case *torus.Torus:
+		return tableTorus{x}
+	case *fattree.GTree:
+		return tableGTree{x}
+	case *ghc.GHC:
+		return tableGHC{x}
+	case *nest.Nest:
+		return tableNest{x}
+	}
+	t.Fatalf("%s builds %T, which has no table-served wrapper", cfg.Kind, top)
+	return nil
+}
+
+// runTableServed runs cfg on the topology Build returns and on its
+// table-served reference.
+func runTableServed(t *testing.T, cfg Config) (got, ref *RunResult) {
+	t.Helper()
+	got, err := Run(cfg, nil)
+	if err != nil {
+		t.Fatalf("closed form: %v", err)
+	}
+	ref, err = Run(cfg, tableServed(t, cfg))
+	if err != nil {
+		t.Fatalf("table-served: %v", err)
+	}
+	return got, ref
+}
+
+// TestImplicitMatchesMaterializedPaperWorkloads is the link-id
 // differential matrix: all 11 paper workloads × the closed-form families,
-// RepImplicit compared against RepMaterialized at the run-record
+// compared against the table-served reference at the run-record
 // fingerprint level (which hashes the full record: config, makespan,
 // flow ends, utilisations, fault accounting).
 func TestImplicitMatchesMaterializedPaperWorkloads(t *testing.T) {
@@ -43,24 +102,15 @@ func TestImplicitMatchesMaterializedPaperWorkloads(t *testing.T) {
 			f, w := f, w
 			t.Run(fmt.Sprintf("%s/%s", f.kind, w), func(t *testing.T) {
 				t.Parallel()
-				run := func(rep Representation) *RunResult {
-					res, err := Run(Config{
-						Kind:      f.kind,
-						Endpoints: n,
-						T:         f.tt,
-						U:         f.u,
-						Rep:       rep,
-						Workload:  w,
-						Params:    workload.Params{Seed: 11},
-						Sim:       flow.Options{RecordFlowEnds: true},
-					}, nil)
-					if err != nil {
-						t.Fatalf("rep=%v: %v", rep, err)
-					}
-					return res
-				}
-				mat := run(RepMaterialized)
-				imp := run(RepImplicit)
+				imp, mat := runTableServed(t, Config{
+					Kind:      f.kind,
+					Endpoints: n,
+					T:         f.tt,
+					U:         f.u,
+					Workload:  w,
+					Params:    workload.Params{Seed: 11},
+					Sim:       flow.Options{RecordFlowEnds: true},
+				})
 				mustIdenticalResults(t, imp, mat)
 				mfp, err := mat.Record().Fingerprint()
 				if err != nil {
@@ -71,7 +121,7 @@ func TestImplicitMatchesMaterializedPaperWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(mfp, ifp) {
-					t.Fatalf("run-record fingerprint diverged between representations:\n materialised %s\n implicit     %s", mfp, ifp)
+					t.Fatalf("run-record fingerprint diverged from the table-served reference:\n table       %s\n closed form %s", mfp, ifp)
 				}
 			})
 		}
@@ -121,7 +171,8 @@ func mustIdenticalResults(t *testing.T, got, want *RunResult) {
 
 // TestImplicitMatchesMaterializedUnderFaults covers the degraded path:
 // fault generation, candidate filtering and BFS detours all read the
-// link structure, and must read the same one from both representations.
+// link structure, and must read the same one from the closed form and
+// from the stored table.
 func TestImplicitMatchesMaterializedUnderFaults(t *testing.T) {
 	const n = 64
 	for _, f := range implicitFamilies {
@@ -129,74 +180,33 @@ func TestImplicitMatchesMaterializedUnderFaults(t *testing.T) {
 		t.Run(string(f.kind), func(t *testing.T) {
 			t.Parallel()
 			spec := fault.Spec{Model: fault.Random, LinkFraction: 0.05, Seed: 7}
-			run := func(rep Representation) *RunResult {
-				res, err := Run(Config{
-					Kind:      f.kind,
-					Endpoints: n,
-					T:         f.tt,
-					U:         f.u,
-					Rep:       rep,
-					Workload:  workload.AllReduce,
-					Params:    workload.Params{Seed: 11},
-					Sim:       flow.Options{RecordFlowEnds: true},
-					Faults:    &spec,
-				}, nil)
-				if err != nil {
-					t.Fatalf("rep=%v: %v", rep, err)
-				}
-				return res
-			}
-			mustIdenticalResults(t, run(RepImplicit), run(RepMaterialized))
+			got, ref := runTableServed(t, Config{
+				Kind:      f.kind,
+				Endpoints: n,
+				T:         f.tt,
+				U:         f.u,
+				Workload:  workload.AllReduce,
+				Params:    workload.Params{Seed: 11},
+				Sim:       flow.Options{RecordFlowEnds: true},
+				Faults:    &spec,
+			})
+			mustIdenticalResults(t, got, ref)
 		})
 	}
 }
 
-// TestRepInvisibleToRecordsAndKeys: the representation is an execution
-// detail — it must not appear in marshalled configs, must not move a
-// sweep cell key, and must not move a run-record fingerprint.
-func TestRepInvisibleToRecordsAndKeys(t *testing.T) {
-	t.Parallel()
-	raw, err := json.Marshal(Config{Kind: Torus3D, Endpoints: 64, Rep: RepImplicit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.ToLower(string(raw)), "rep") {
-		t.Fatalf("Rep leaked into the marshalled config: %s", raw)
-	}
-	cfg := Config{
-		Kind:      NestGHC,
-		Endpoints: 64,
-		T:         2,
-		U:         4,
-		Workload:  workload.AllReduce,
-		Params:    workload.Params{Seed: 1},
-	}
-	kMat, err := CellKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Rep = RepImplicit
-	kImp, err := CellKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kMat != kImp {
-		t.Fatalf("Rep changed the cell key: %s vs %s", kMat, kImp)
-	}
-}
-
-// TestImplicitRejectsTableOnlyFamilies: families without closed-form
-// link structure must refuse RepImplicit loudly instead of silently
-// materialising.
+// TestImplicitRejectsTableOnlyFamilies: the families without a closed
+// form keep their stored tables and still build through Build at paper
+// sizes.
 func TestImplicitRejectsTableOnlyFamilies(t *testing.T) {
 	t.Parallel()
 	for _, k := range []TopoKind{Dragonfly, Jellyfish} {
-		if _, err := Build(TopoSpec{Kind: k, Endpoints: 64, Rep: RepImplicit}); err == nil {
-			t.Fatalf("%s accepted RepImplicit", k)
+		top, err := Build(TopoSpec{Kind: k, Endpoints: 8192})
+		if err != nil {
+			t.Fatalf("%s at 8192 endpoints: %v", k, err)
 		}
-	}
-	// RepAuto above the threshold falls back to materialised for them.
-	if _, err := Build(TopoSpec{Kind: Dragonfly, Endpoints: 72, Rep: RepAuto}); err != nil {
-		t.Fatalf("dragonfly under RepAuto: %v", err)
+		if top.NumEndpoints() < 8192 || len(top.Links()) != top.NumLinks() {
+			t.Fatalf("%s: %d endpoints, %d of %d links stored", k, top.NumEndpoints(), len(top.Links()), top.NumLinks())
+		}
 	}
 }

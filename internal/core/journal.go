@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 
 	"mtier/internal/obs"
@@ -187,13 +188,9 @@ func (j *Journal) Cached(key string) (*RunResult, bool) {
 // crash. The result also enters the in-memory cache, making Append
 // idempotent across a sweep's lifetime.
 func (j *Journal) Append(key string, res *RunResult) error {
-	sum, err := resultSum(res)
+	line, err := encodeRecord(key, res)
 	if err != nil {
-		return fmt.Errorf("core: hashing journal record: %w", err)
-	}
-	line, err := json.Marshal(JournalRecord{Schema: JournalSchema, Key: key, Sum: sum, Result: res})
-	if err != nil {
-		return fmt.Errorf("core: marshaling journal record: %w", err)
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -202,6 +199,20 @@ func (j *Journal) Append(key string, res *RunResult) error {
 	}
 	j.cache[key] = res
 	return nil
+}
+
+// encodeRecord renders one journal line, without its newline: the
+// record of key and res, carrying the sha256 of the result payload.
+func encodeRecord(key string, res *RunResult) ([]byte, error) {
+	sum, err := resultSum(res)
+	if err != nil {
+		return nil, fmt.Errorf("core: hashing journal record: %w", err)
+	}
+	line, err := json.Marshal(JournalRecord{Schema: JournalSchema, Key: key, Sum: sum, Result: res})
+	if err != nil {
+		return nil, fmt.Errorf("core: marshaling journal record: %w", err)
+	}
+	return line, nil
 }
 
 // Close syncs and closes the journal file. The cache stays readable, so
@@ -287,7 +298,9 @@ type MergeReport struct {
 // every source is loaded (tolerating crash-truncated tails), cells are
 // written to dst in the exact order of keys — the canonical cell order
 // of the campaign — and the result is a journal any single-process sweep
-// can resume from.
+// can resume from. dst is replaced by temp file and rename (wal.WriteFile),
+// so a crash mid-merge leaves any previous dst intact, and the returned
+// journal is dst reopened for appending.
 //
 // The merge is verifying: when two sources both completed a cell (a
 // reclaimed lease whose original worker also finished), their run-record
@@ -321,21 +334,30 @@ func MergeJournals(dst string, keys []string, srcs []string) (*Journal, *MergeRe
 			fps[key] = fp
 		}
 	}
-	j, err := CreateJournal(dst)
+	err := wal.WriteFile(dst, func(w io.Writer) error {
+		for _, key := range keys {
+			res, ok := merged[key]
+			if !ok {
+				rep.Missing = append(rep.Missing, key)
+				continue
+			}
+			line, err := encodeRecord(key, res)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(line, '\n')); err != nil {
+				return err
+			}
+			rep.Records++
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, key := range keys {
-		res, ok := merged[key]
-		if !ok {
-			rep.Missing = append(rep.Missing, key)
-			continue
-		}
-		if err := j.Append(key, res); err != nil {
-			j.Close()
-			return nil, nil, err
-		}
-		rep.Records++
+	j, err := OpenJournal(dst)
+	if err != nil {
+		return nil, nil, err
 	}
 	return j, rep, nil
 }

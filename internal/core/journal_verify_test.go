@@ -317,6 +317,56 @@ func TestMergeJournals(t *testing.T) {
 	}
 }
 
+// TestMergeJournalsReplacesFile: merging over an existing merged journal
+// replaces the file by rename — a reader holding the old file keeps the
+// old inode, and a crash mid-merge cannot leave a half-truncated journal —
+// and leaves no temporary file behind.
+func TestMergeJournalsReplacesFile(t *testing.T) {
+	dir := t.TempDir()
+	cfg := journalConfig(1)
+	key, err := CellKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(dir, "worker-0001.jsonl")
+	appendCell(t, src, cfg)
+	dst := filepath.Join(dir, "merged.jsonl")
+	if err := os.WriteFile(dst, []byte("stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, rep, err := MergeJournals(dst, []string{key}, []string{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Records != 1 {
+		t.Fatalf("merge wrote %d records, want 1", rep.Records)
+	}
+	if _, ok := merged.Cached(key); !ok {
+		t.Fatalf("merged journal does not serve cell %.12s…", key)
+	}
+	after, err := os.Stat(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("merged.jsonl was rewritten in place; want a new file renamed over it")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("merge left temporary files behind: %v", left)
+	}
+}
+
 // TestMergeJournalsDivergence: two journals claiming the same key with
 // different results is the one unforgivable state — the merge must
 // refuse rather than pick a winner.

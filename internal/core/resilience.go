@@ -125,7 +125,6 @@ func DegradationGrid(specs []TopoSpec, fractions []float64, opt DegradationOptio
 				Endpoints: spec.Endpoints,
 				T:         spec.T,
 				U:         spec.U,
-				Rep:       spec.Rep,
 				Workload:  opt.Workload,
 				Params:    opt.Params,
 				Placement: opt.Placement,

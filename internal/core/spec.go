@@ -12,29 +12,6 @@ import (
 	"mtier/internal/topo/torus"
 )
 
-// Representation selects how a topology stores its link structure. It is
-// an execution detail, not part of the design point: both representations
-// produce identical link ids, routes and results, so the field is excluded
-// from JSON (cell keys, run records and fingerprints never see it).
-type Representation int
-
-const (
-	// RepAuto materialises the link table below ImplicitThreshold
-	// endpoints and computes links on demand above it.
-	RepAuto Representation = iota
-	// RepMaterialized always stores the full link table.
-	RepMaterialized
-	// RepImplicit always computes link ids on demand; families without a
-	// closed form (Dragonfly, Jellyfish) reject it.
-	RepImplicit
-)
-
-// ImplicitThreshold is the endpoint count at and above which RepAuto
-// switches to the implicit representation. Small systems stay materialised
-// so that established baselines (and the benchmark regimes recorded before
-// implicit topologies existed) keep their exact execution profile.
-const ImplicitThreshold = 8192
-
 // TopoSpec fully describes a topology instance: the family, the endpoint
 // count, and — for the hybrid families only — the paper's (t, u) design
 // point. It is the validated construction request consumed by Build; the
@@ -50,10 +27,6 @@ type TopoSpec struct {
 	T int `json:"t,omitempty"`
 	// U gives one uplink per U QFDBs (hybrid families only).
 	U int `json:"u,omitempty"`
-	// Rep selects the link-structure representation. Never serialised:
-	// representation must not influence results, only how they are
-	// computed.
-	Rep Representation `json:"-"`
 }
 
 // Validate checks the spec against its family's constraints, returning a
@@ -105,34 +78,15 @@ func Build(spec TopoSpec) (topo.Topology, error) {
 		return nil, err
 	}
 	n := spec.Endpoints
-	implicit := false
-	switch spec.Rep {
-	case RepImplicit:
-		implicit = true
-	case RepAuto:
-		implicit = n >= ImplicitThreshold
-	}
 	switch spec.Kind {
 	case Torus3D:
 		f := grid.FactorBalanced(n, 3)
-		if implicit {
-			return torus.NewImplicit(grid.Shape{f[0], f[1], f[2]})
-		}
 		return torus.New(grid.Shape{f[0], f[1], f[2]})
 	case Fattree:
-		if implicit {
-			return fattree.NewNonBlockingImplicit(balancedArities(n))
-		}
 		return fattree.NewNonBlocking(balancedArities(n))
 	case NestTree:
-		if implicit {
-			return nest.BuildCubeImplicit(nest.UpperTree, spec.T, spec.U, n)
-		}
 		return nest.BuildCube(nest.UpperTree, spec.T, spec.U, n)
 	case NestGHC:
-		if implicit {
-			return nest.BuildCubeImplicit(nest.UpperGHC, spec.T, spec.U, n)
-		}
 		return nest.BuildCube(nest.UpperGHC, spec.T, spec.U, n)
 	case Thintree:
 		arities := balancedArities(n)
@@ -141,19 +95,10 @@ func Build(spec TopoSpec) (topo.Topology, error) {
 		for i := 0; i < len(arities)-1; i++ {
 			arities[i] += arities[i] % 2
 		}
-		if implicit {
-			return fattree.NewThinTreeImplicit(arities, 2)
-		}
 		return fattree.NewThinTree(arities, 2)
 	case GHCFlat:
-		if implicit {
-			return nest.SuggestGHCImplicit(n)
-		}
 		return nest.SuggestGHC(n)
 	case Dragonfly:
-		if spec.Rep == RepImplicit {
-			return nil, fmt.Errorf("core: %s has no closed-form link structure; use the materialised representation", spec.Kind)
-		}
 		// Smallest balanced dragonfly with at least n endpoints: a/2
 		// endpoints per router, a routers per group, a*h+1 groups.
 		for a := 2; ; a += 2 {
@@ -166,9 +111,6 @@ func Build(spec TopoSpec) (topo.Topology, error) {
 			}
 		}
 	case Jellyfish:
-		if spec.Rep == RepImplicit {
-			return nil, fmt.Errorf("core: %s has no closed-form link structure; use the materialised representation", spec.Kind)
-		}
 		// Degree-8 random graph with 8 endpoints per switch.
 		switches := grid.CeilDiv(n, 8)
 		if switches < 10 {
@@ -185,13 +127,4 @@ func Build(spec TopoSpec) (topo.Topology, error) {
 
 // balancedArities factors n into up to three stage arities for the tree
 // builders, dropping the degenerate 1-ary stages of small systems.
-func balancedArities(n int) []int {
-	m := grid.FactorBalanced(n, 3)
-	trimmed := m[:0]
-	for _, v := range m {
-		if v > 1 {
-			trimmed = append(trimmed, v)
-		}
-	}
-	return trimmed
-}
+func balancedArities(n int) []int { return grid.NonUnitFactors(n, 3) }

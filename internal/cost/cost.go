@@ -84,7 +84,7 @@ func ForFabric(fab topo.Fabric, nodes, uplinks int, m Model) (Estimate, error) {
 		Nodes:        nodes,
 		Switches:     fab.NumSwitches(),
 		Uplinks:      uplinks,
-		FabricCables: len(fab.SwitchCables()),
+		FabricCables: fab.NumSwitchCables(),
 	}
 	baseCost := float64(nodes) * m.NodeCost
 	basePower := float64(nodes) * m.NodePower

@@ -182,9 +182,9 @@ type coordinator struct {
 	rep *Report
 
 	cLeases, cRenews, cExpired, cReclaimed *obs.Counter
-	cCompleted, cDuplicates, cPoisoned    *obs.Counter
-	cSpawned, cFailures                   *obs.Counter
-	gLive, gPending                       *obs.Gauge
+	cCompleted, cDuplicates, cPoisoned     *obs.Counter
+	cSpawned, cFailures                    *obs.Counter
+	gLive, gPending                        *obs.Gauge
 }
 
 // Run executes a campaign across worker processes and returns when

@@ -36,7 +36,7 @@ type Degraded struct {
 	// Surviving in-edges in CSR form: inHops[inStart[v]:inStart[v+1]]
 	// lists v's in-edges as (From, Link) pairs in link-id order; the
 	// detour BFS consumes them from the destination. CSR keeps the
-	// adjacency to two flat slices so wrapping a 131k-endpoint implicit
+	// adjacency to two flat slices so wrapping a 131k-endpoint closed-form
 	// topology costs two passes over the link ids, not a slice per vertex.
 	inHops  []topo.Hop
 	inStart []int32

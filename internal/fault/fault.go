@@ -180,7 +180,7 @@ type cable struct {
 // are walked in id order and each link is matched with the first unpaired
 // opposite-direction link between the same vertices, so parallel cables
 // pair up deterministically. Links are read one id at a time (topo.LinkAt)
-// so implicit topologies never materialise their link table here.
+// so closed-form topologies never build their link table here.
 func cables(t topo.Topology) []cable {
 	numL := t.NumLinks()
 	partner := make([]int32, numL)

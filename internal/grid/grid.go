@@ -240,6 +240,17 @@ func FactorBalanced(x, parts int) []int {
 	return out
 }
 
+// NonUnitFactors is FactorBalanced with the unit parts dropped: the
+// balanced stage arities or grid dimensions of x, ascending, without the
+// degenerate size-1 parts a small x leaves. It is empty for x == 1.
+func NonUnitFactors(x, parts int) []int {
+	m := FactorBalanced(x, parts)
+	for len(m) > 0 && m[0] == 1 {
+		m = m[1:]
+	}
+	return m
+}
+
 // CeilDiv returns ceil(a/b) for positive b.
 func CeilDiv(a, b int) int { return (a + b - 1) / b }
 

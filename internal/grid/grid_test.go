@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,24 @@ func TestHelpers(t *testing.T) {
 	}
 	if !IsPow2(1) || !IsPow2(64) || IsPow2(0) || IsPow2(12) {
 		t.Fatal("IsPow2 wrong")
+	}
+}
+
+func TestNonUnitFactors(t *testing.T) {
+	cases := []struct {
+		x, parts int
+		want     string
+	}{
+		{131072, 3, "[32 64 64]"},
+		{8192, 4, "[8 8 8 16]"},
+		{7, 3, "[7]"},
+		{12, 4, "[2 2 3]"},
+		{1, 3, "[]"},
+	}
+	for _, c := range cases {
+		if got := fmt.Sprint(NonUnitFactors(c.x, c.parts)); got != c.want {
+			t.Errorf("NonUnitFactors(%d, %d) = %s, want %s", c.x, c.parts, got, c.want)
+		}
 	}
 }
 

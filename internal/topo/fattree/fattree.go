@@ -25,9 +25,8 @@
 //
 // The link-id space is closed-form: cables are ordered by level ascending,
 // then switch (a-rank outer, b-rank inner), then down-port; cable c yields
-// the switch→child link 2c and the child→switch link 2c+1. NewImplicit
-// builds an instance that computes these ids on demand and only
-// materialises the link table if Links() is called.
+// the switch→child link 2c and the child→switch link 2c+1. Link ids are
+// computed on demand; the link table is only built if Links() is called.
 package fattree
 
 import (
@@ -63,21 +62,10 @@ type GTree struct {
 	net  *topo.Net // materialised link table; nil until first needed
 }
 
-// New builds a materialised generalized fattree with the given
-// down-arities and up-multiplicities. len(w) == len(m), w[0] == 1.
+// New builds a generalized fattree with the given down-arities and
+// up-multiplicities. len(w) == len(m), w[0] == 1. Link ids are computed on
+// demand; the link table is only built if Links() is called.
 func New(m, w []int) (*GTree, error) {
-	g, err := NewImplicit(m, w)
-	if err != nil {
-		return nil, err
-	}
-	g.once.Do(g.materialise)
-	return g, nil
-}
-
-// NewImplicit builds a generalized fattree that computes link ids on
-// demand and only materialises its link table if Links() is called.
-// Routes, link ids and Name are identical to New's.
-func NewImplicit(m, w []int) (*GTree, error) {
 	n := len(m)
 	if n == 0 || len(w) != n {
 		return nil, fmt.Errorf("fattree: need matching non-empty arities, got m=%v w=%v", m, w)
@@ -214,15 +202,6 @@ func NewThinTree(m []int, slim int) (*GTree, error) {
 	return New(m, w)
 }
 
-// NewThinTreeImplicit is NewThinTree in the implicit representation.
-func NewThinTreeImplicit(m []int, slim int) (*GTree, error) {
-	w, err := thinArities(m, slim)
-	if err != nil {
-		return nil, err
-	}
-	return NewImplicit(m, w)
-}
-
 // nonBlockingArities derives the fully-provisioned up-multiplicities.
 func nonBlockingArities(m []int) []int {
 	w := make([]int, len(m))
@@ -238,11 +217,6 @@ func nonBlockingArities(m []int) []int {
 // no-over-subscription configuration the paper evaluates.
 func NewNonBlocking(m []int) (*GTree, error) {
 	return New(m, nonBlockingArities(m))
-}
-
-// NewNonBlockingImplicit is NewNonBlocking in the implicit representation.
-func NewNonBlockingImplicit(m []int) (*GTree, error) {
-	return NewImplicit(m, nonBlockingArities(m))
 }
 
 func arityString(m, w []int) string {
@@ -268,8 +242,7 @@ func (g *GTree) NumVertices() int { return g.numVertices }
 // NumLinks implements topo.Topology.
 func (g *GTree) NumLinks() int { return 2 * g.cableBase[len(g.m)+1] }
 
-// Links implements topo.Topology, materialising the table on first call
-// for implicit instances.
+// Links implements topo.Topology, building the table on first call.
 func (g *GTree) Links() []topo.Link {
 	g.once.Do(g.materialise)
 	return g.net.Links()
@@ -424,7 +397,7 @@ func (g *GTree) AttachSwitch(ep int) int {
 // SwitchCables implements topo.Fabric: all switch-to-switch cables with
 // fabric-local ids, each listed child first (the lower vertex id). They
 // are generated directly in the closed-form cable order (level 2 upward)
-// so implicit instances need not materialise their link table.
+// without building the link table.
 func (g *GTree) SwitchCables() [][2]int32 {
 	out := make([][2]int32, 0, g.NumSwitchCables())
 	base := g.levelOffset[1]
@@ -443,12 +416,12 @@ func (g *GTree) SwitchCables() [][2]int32 {
 	return out
 }
 
-// NumSwitchCables implements topo.CableIndexer: the cables above level 1.
+// NumSwitchCables implements topo.Fabric: the cables above level 1.
 func (g *GTree) NumSwitchCables() int {
 	return g.cableBase[len(g.m)+1] - g.cableBase[2]
 }
 
-// SwitchCableBetween implements topo.CableIndexer. SwitchCables lists each
+// SwitchCableBetween implements topo.Fabric. SwitchCables lists each
 // cable child-first, so the a→b hop is forward exactly when a is the
 // child (the lower fabric-local id).
 func (g *GTree) SwitchCableBetween(a, b int32) (cable int32, forward bool) {
@@ -473,7 +446,7 @@ func (g *GTree) SwitchCableBetween(a, b int32) (cable int32, forward bool) {
 	return int32(g.cable(i, aP, bP, ai) - g.cableBase[2]), forward
 }
 
-// PortPairDistanceSum implements topo.FabricDistancer: the sum of
+// PortPairDistanceSum implements topo.Fabric: the sum of
 // SwitchDistance (2·(NCA level − 1) above the leaves) over all ordered
 // port pairs.
 func (g *GTree) PortPairDistanceSum() float64 {
@@ -531,10 +504,8 @@ func (g *GTree) SwitchPathAppend(buf []int32, srcPort, dstPort int) []int32 {
 }
 
 var (
-	_ topo.Topology        = (*GTree)(nil)
-	_ topo.Fabric          = (*GTree)(nil)
-	_ topo.MultiRouter     = (*GTree)(nil)
-	_ topo.Generative      = (*GTree)(nil)
-	_ topo.CableIndexer    = (*GTree)(nil)
-	_ topo.FabricDistancer = (*GTree)(nil)
+	_ topo.Topology    = (*GTree)(nil)
+	_ topo.Fabric      = (*GTree)(nil)
+	_ topo.MultiRouter = (*GTree)(nil)
+	_ topo.Generative  = (*GTree)(nil)
 )

@@ -8,9 +8,8 @@
 // The link-id space is closed-form: host cable e (endpoint e to its
 // switch) occupies links 2e and 2e+1; switch cables follow, ordered by
 // owning switch ascending, dimension ascending, far coordinate ascending —
-// which is exactly the materialised construction order. NewImplicit builds
-// an instance that computes these ids on demand and only materialises the
-// link table if Links() is called.
+// which is exactly the construction order of the stored table. Link ids
+// are computed on demand; the table is only built if Links() is called.
 package ghc
 
 import (
@@ -43,22 +42,11 @@ type GHC struct {
 	net  *topo.Net // materialised link table; nil until first needed
 }
 
-// New builds a materialised GHC with the given per-dimension sizes and
-// endpoints per switch. A GHC with dims {8,8,8,16} and conc 16 hosts the
-// paper-scale 131,072 endpoints on 8,192 switches.
+// New builds a GHC with the given per-dimension sizes and endpoints per
+// switch. A GHC with dims {8,8,8,16} and conc 16 hosts the paper-scale
+// 131,072 endpoints on 8,192 switches. Link ids are computed on demand;
+// the link table is only built if Links() is called.
 func New(dims grid.Shape, conc int) (*GHC, error) {
-	g, err := NewImplicit(dims, conc)
-	if err != nil {
-		return nil, err
-	}
-	g.once.Do(g.materialise)
-	return g, nil
-}
-
-// NewImplicit builds a GHC that computes link ids on demand and only
-// materialises its link table if Links() is called. Routes, link ids and
-// Name are identical to New's.
-func NewImplicit(dims grid.Shape, conc int) (*GHC, error) {
 	if err := dims.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,8 +163,7 @@ func (g *GHC) NumLinks() int {
 	return 2 * (g.numEndpoints + int(g.swCableBase[g.numSwitches]))
 }
 
-// Links implements topo.Topology, materialising the table on first call
-// for implicit instances.
+// Links implements topo.Topology, building the table on first call.
 func (g *GHC) Links() []topo.Link {
 	g.once.Do(g.materialise)
 	return g.net.Links()
@@ -305,8 +292,8 @@ func (g *GHC) NumEndpointPorts() int { return g.numEndpoints }
 func (g *GHC) AttachSwitch(ep int) int { return ep / g.conc }
 
 // SwitchCables implements topo.Fabric, generated directly in the
-// closed-form cable order (owning switch, dimension, far coordinate) so
-// implicit instances need not materialise their link table.
+// closed-form cable order (owning switch, dimension, far coordinate)
+// without building the link table.
 func (g *GHC) SwitchCables() [][2]int32 {
 	out := make([][2]int32, 0, g.swCableBase[g.numSwitches])
 	for s := 0; s < g.numSwitches; s++ {
@@ -320,10 +307,10 @@ func (g *GHC) SwitchCables() [][2]int32 {
 	return out
 }
 
-// NumSwitchCables implements topo.CableIndexer.
+// NumSwitchCables implements topo.Fabric.
 func (g *GHC) NumSwitchCables() int { return int(g.swCableBase[g.numSwitches]) }
 
-// SwitchCableBetween implements topo.CableIndexer.
+// SwitchCableBetween implements topo.Fabric.
 func (g *GHC) SwitchCableBetween(a, b int32) (cable int32, forward bool) {
 	x, y := int(a), int(b)
 	for d, k := range g.dims {
@@ -334,7 +321,7 @@ func (g *GHC) SwitchCableBetween(a, b int32) (cable int32, forward bool) {
 	panic(fmt.Sprintf("ghc: switches %d and %d are not adjacent", a, b))
 }
 
-// PortPairDistanceSum implements topo.FabricDistancer: the sum of
+// PortPairDistanceSum implements topo.Fabric: the sum of
 // SwitchDistance (switch-coordinate hamming distance) over all ordered
 // port pairs, conc² per ordered switch pair.
 func (g *GHC) PortPairDistanceSum() float64 {
@@ -387,10 +374,8 @@ func (g *GHC) SwitchDiameter() int {
 }
 
 var (
-	_ topo.Topology        = (*GHC)(nil)
-	_ topo.Fabric          = (*GHC)(nil)
-	_ topo.MultiRouter     = (*GHC)(nil)
-	_ topo.Generative      = (*GHC)(nil)
-	_ topo.CableIndexer    = (*GHC)(nil)
-	_ topo.FabricDistancer = (*GHC)(nil)
+	_ topo.Topology    = (*GHC)(nil)
+	_ topo.Fabric      = (*GHC)(nil)
+	_ topo.MultiRouter = (*GHC)(nil)
+	_ topo.Generative  = (*GHC)(nil)
 )

@@ -1,15 +1,17 @@
 package topo_test
 
-// Property and metamorphic tests for the implicit (generative) topology
-// representation. The moderate-size tests hold the implicit instances
-// against fully materialised twins link-by-link; the paper-scale tests
-// can enumerate nothing, so they sample: every sampled closed-form route
-// must be contiguous, minimal per the family's Distance, and confined to
-// the declared tier ranges — all via LinkEnds, without ever touching a
-// link table.
+// Property and metamorphic tests for the closed-form (generative) link
+// ids. The moderate-size tests hold a fresh instance against a twin whose
+// stored link table was forced with Links(), link by link; the
+// paper-scale tests can enumerate nothing, so they sample: every sampled
+// closed-form route must be contiguous, minimal per the family's
+// Distance, and confined to the declared tier ranges — all via LinkEnds,
+// without ever touching a link table.
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mtier/internal/fault"
@@ -22,8 +24,8 @@ import (
 	"mtier/internal/xrand"
 )
 
-// implicitPair builds the implicit and materialised instances of one
-// configuration.
+// implicitPair holds two instances of one configuration: imp is fresh,
+// mat has had its link table built by Links().
 type implicitPair struct {
 	name string
 	imp  topo.Topology
@@ -35,15 +37,16 @@ func implicitPairs(t *testing.T) []implicitPair {
 	var out []implicitPair
 	add := func(name string, imp topo.Topology, err1 error, mat topo.Topology, err2 error) {
 		if err1 != nil {
-			t.Fatalf("%s implicit: %v", name, err1)
+			t.Fatalf("%s fresh: %v", name, err1)
 		}
 		if err2 != nil {
-			t.Fatalf("%s materialised: %v", name, err2)
+			t.Fatalf("%s table: %v", name, err2)
 		}
+		mat.Links()
 		out = append(out, implicitPair{name, imp, mat})
 	}
 	for _, sh := range []grid.Shape{{4, 3, 2}, {2, 2, 2}, {5}, {2, 3}, {4, 4, 4}} {
-		i, e1 := torus.NewImplicit(sh)
+		i, e1 := torus.New(sh)
 		m, e2 := torus.New(sh)
 		add(fmt.Sprintf("torus-%s", sh), i, e1, m, e2)
 	}
@@ -51,17 +54,17 @@ func implicitPairs(t *testing.T) []implicitPair {
 		sh   grid.Shape
 		conc int
 	}{{grid.Shape{2, 2}, 1}, {grid.Shape{4, 3}, 2}, {grid.Shape{2, 2, 2}, 4}} {
-		i, e1 := ghc.NewImplicit(c.sh, c.conc)
+		i, e1 := ghc.New(c.sh, c.conc)
 		m, e2 := ghc.New(c.sh, c.conc)
 		add(fmt.Sprintf("ghc-%s-c%d", c.sh, c.conc), i, e1, m, e2)
 	}
 	for _, m := range [][]int{{4}, {4, 4}, {2, 4, 4}} {
-		i, e1 := fattree.NewNonBlockingImplicit(m)
+		i, e1 := fattree.NewNonBlocking(m)
 		mt, e2 := fattree.NewNonBlocking(m)
 		add(fmt.Sprintf("fattree-%v", m), i, e1, mt, e2)
 	}
 	{
-		i, e1 := fattree.NewThinTreeImplicit([]int{4, 4}, 2)
+		i, e1 := fattree.NewThinTree([]int{4, 4}, 2)
 		m, e2 := fattree.NewThinTree([]int{4, 4}, 2)
 		add("thintree-4:4", i, e1, m, e2)
 	}
@@ -73,31 +76,32 @@ func implicitPairs(t *testing.T) []implicitPair {
 		{nest.UpperTree, 2, 1, 64}, {nest.UpperTree, 2, 4, 512}, {nest.UpperTree, 4, 8, 512},
 		{nest.UpperGHC, 2, 2, 512}, {nest.UpperGHC, 4, 4, 512}, {nest.UpperGHC, 2, 8, 256},
 	} {
-		i, e1 := nest.BuildCubeImplicit(c.kind, c.t, c.u, c.n)
+		i, e1 := nest.BuildCube(c.kind, c.t, c.u, c.n)
 		m, e2 := nest.BuildCube(c.kind, c.t, c.u, c.n)
 		add(fmt.Sprintf("%s-t%d-u%d-n%d", c.kind, c.t, c.u, c.n), i, e1, m, e2)
 	}
 	return out
 }
 
-// TestImplicitLinkTableIdentity: every directed link of the implicit
+// TestImplicitLinkTableIdentity: every directed link of the fresh
 // instance, described by LinkEnds alone, must equal the corresponding
-// entry of the materialised twin's link table — the bit-identity
-// foundation everything else (routes are link-id sequences) rests on.
+// entry of the twin's stored link table — the bit-identity foundation
+// everything else (routes are link-id sequences) rests on. Building the
+// table runs the construction replay and its closed-form count checks.
 func TestImplicitLinkTableIdentity(t *testing.T) {
 	for _, p := range implicitPairs(t) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			if p.imp.NumLinks() != p.mat.NumLinks() {
-				t.Fatalf("link counts differ: implicit %d, materialised %d", p.imp.NumLinks(), p.mat.NumLinks())
+				t.Fatalf("link counts differ: fresh %d, table %d", p.imp.NumLinks(), p.mat.NumLinks())
 			}
 			if p.imp.NumVertices() != p.mat.NumVertices() {
-				t.Fatalf("vertex counts differ: implicit %d, materialised %d", p.imp.NumVertices(), p.mat.NumVertices())
+				t.Fatalf("vertex counts differ: fresh %d, table %d", p.imp.NumVertices(), p.mat.NumVertices())
 			}
 			g, ok := p.imp.(topo.Generative)
 			if !ok {
-				t.Fatalf("implicit instance is not topo.Generative")
+				t.Fatalf("instance is not topo.Generative")
 			}
 			links := p.mat.Links()
 			for id := range links {
@@ -107,13 +111,30 @@ func TestImplicitLinkTableIdentity(t *testing.T) {
 						id, from, to, links[id].From, links[id].To)
 				}
 			}
+			// The fresh instance's first Links() calls may race: every
+			// caller must get the one table, equal to the twin's.
+			var wg sync.WaitGroup
+			got := make([][]topo.Link, 4)
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = p.imp.Links()
+				}(i)
+			}
+			wg.Wait()
+			for i, l := range got {
+				if !reflect.DeepEqual(l, links) {
+					t.Fatalf("concurrent Links() call %d returned a different table", i)
+				}
+			}
 		})
 	}
 }
 
-// TestImplicitRoutesIdentical: the closed-form route of every pair must
-// be the identical link-id sequence on both representations, and valid
-// under the shared checker (which also pins MultiRouter candidates).
+// TestImplicitRoutesIdentical: the route of every pair must be the
+// identical link-id sequence whether or not the link table exists, and
+// valid under the shared checker (which also pins MultiRouter candidates).
 func TestImplicitRoutesIdentical(t *testing.T) {
 	for _, p := range implicitPairs(t) {
 		p := p
@@ -150,7 +171,7 @@ func TestImplicitRoutesIdentical(t *testing.T) {
 // the family's closed-form Distance, and distances must be symmetric —
 // the metamorphic pair of properties the Static distance summaries rely
 // on. For the single-tier families Distance is additionally pinned to a
-// BFS shortest path over the materialised twin in families_test.go.
+// BFS shortest path over the stored link table in families_test.go.
 func TestImplicitRouteLengthIsDistance(t *testing.T) {
 	type distancer interface {
 		Distance(src, dst int) int
@@ -184,10 +205,11 @@ func TestImplicitRouteLengthIsDistance(t *testing.T) {
 	}
 }
 
-// TestImplicitTieredAgreement: for hybrid instances, the two
-// representations must agree on the tier structure, and each link's tier
-// must match the vertex classes of its endpoints (endpoint-endpoint =
-// subtorus, endpoint-switch = uplink, switch-switch = fabric).
+// TestImplicitTieredAgreement: for hybrid instances, the fresh instance
+// and its table-built twin must agree on the tier structure, and each
+// link's tier must match the vertex classes of its endpoints
+// (endpoint-endpoint = subtorus, endpoint-switch = uplink, switch-switch =
+// fabric).
 func TestImplicitTieredAgreement(t *testing.T) {
 	for _, p := range implicitPairs(t) {
 		it, ok := p.imp.(topo.Tiered)
@@ -199,7 +221,7 @@ func TestImplicitTieredAgreement(t *testing.T) {
 			t.Parallel()
 			mt, ok := p.mat.(topo.Tiered)
 			if !ok {
-				t.Fatalf("materialised twin is not Tiered")
+				t.Fatalf("table-built twin is not Tiered")
 			}
 			if it.NumTiers() != mt.NumTiers() {
 				t.Fatalf("tier counts differ: %d vs %d", it.NumTiers(), mt.NumTiers())
@@ -235,10 +257,10 @@ func TestImplicitTieredAgreement(t *testing.T) {
 
 // TestFaultPrefixMonotoneImplicit: for a fixed (model, seed), the failed
 // components at a smaller fraction must be a subset of those at a larger
-// one — and the sets must be generated identically on the implicit
-// representation (fault geometry reads links one id at a time).
+// one — and the sets must be generated identically whether or not the
+// link table exists (fault geometry reads links one id at a time).
 func TestFaultPrefixMonotoneImplicit(t *testing.T) {
-	imp, err := nest.BuildCubeImplicit(nest.UpperTree, 2, 4, 512)
+	imp, err := nest.BuildCube(nest.UpperTree, 2, 4, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +268,7 @@ func TestFaultPrefixMonotoneImplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mat.Links()
 	for _, model := range fault.Models() {
 		model := model
 		t.Run(string(model), func(t *testing.T) {
@@ -264,7 +287,7 @@ func TestFaultPrefixMonotoneImplicit(t *testing.T) {
 				}
 				for l := 0; l < imp.NumLinks(); l++ {
 					if set.LinkDown(int32(l)) != mset.LinkDown(int32(l)) {
-						t.Fatalf("frac %g: representations disagree on link %d", fr, l)
+						t.Fatalf("frac %g: fresh and table-built instances disagree on link %d", fr, l)
 					}
 					if prev != nil && prev.LinkDown(int32(l)) && !set.LinkDown(int32(l)) {
 						t.Fatalf("link %d failed at a smaller fraction but not at %g: fault sets are not prefix-nested", l, fr)
@@ -282,7 +305,7 @@ func TestFaultPrefixMonotoneImplicit(t *testing.T) {
 }
 
 // TestImplicitPaperScale: the paper's full-scale configurations, built
-// implicitly in milliseconds, checked by sampling: closed-form routes
+// in milliseconds, checked by sampling: closed-form routes
 // must be contiguous link-id sequences (validated hop-by-hop through
 // LinkEnds), exactly Distance hops long, and every link must stay inside
 // its declared tier range. No link table is ever materialised.
@@ -297,11 +320,11 @@ func TestImplicitPaperScale(t *testing.T) {
 		name  string
 		build func() (topo.Topology, error)
 	}{
-		{"torus-64x64x32", func() (topo.Topology, error) { return torus.NewImplicit(grid.Shape{64, 64, 32}) }},
-		{"nesttree-t4-u4", func() (topo.Topology, error) { return nest.BuildCubeImplicit(nest.UpperTree, 4, 4, 131072) }},
-		{"nestghc-t4-u4", func() (topo.Topology, error) { return nest.BuildCubeImplicit(nest.UpperGHC, 4, 4, 131072) }},
-		{"fattree-131k", func() (topo.Topology, error) { return nest.SuggestTreeImplicit(131072) }},
-		{"ghcflat-131k", func() (topo.Topology, error) { return nest.SuggestGHCImplicit(131072) }},
+		{"torus-64x64x32", func() (topo.Topology, error) { return torus.New(grid.Shape{64, 64, 32}) }},
+		{"nesttree-t4-u4", func() (topo.Topology, error) { return nest.BuildCube(nest.UpperTree, 4, 4, 131072) }},
+		{"nestghc-t4-u4", func() (topo.Topology, error) { return nest.BuildCube(nest.UpperGHC, 4, 4, 131072) }},
+		{"fattree-131k", func() (topo.Topology, error) { return nest.SuggestTree(131072) }},
+		{"ghcflat-131k", func() (topo.Topology, error) { return nest.SuggestGHC(131072) }},
 	}
 	for _, b := range builds {
 		b := b

@@ -28,24 +28,11 @@ func (k UpperKind) String() string {
 	return "NestGHC"
 }
 
-// factorBalanced is grid.FactorBalanced, kept as a local alias for the
-// fabric-sizing helpers below.
-func factorBalanced(x, parts int) []int { return grid.FactorBalanced(x, parts) }
-
 // SuggestTree builds a non-blocking fattree fabric for the given number of
 // uplink ports: three stages when the port count allows (the paper's
 // configuration), fewer for tiny systems. At the paper's full scale
 // (131,072 ports) this yields arities (32, 64, 64).
 func SuggestTree(ports int) (*fattree.GTree, error) {
-	return suggestTree(ports, false)
-}
-
-// SuggestTreeImplicit is SuggestTree with an implicit link table.
-func SuggestTreeImplicit(ports int) (*fattree.GTree, error) {
-	return suggestTree(ports, true)
-}
-
-func suggestTree(ports int, implicit bool) (*fattree.GTree, error) {
 	if ports < 1 {
 		return nil, fmt.Errorf("nest: need at least one port, got %d", ports)
 	}
@@ -53,21 +40,11 @@ func suggestTree(ports int, implicit bool) (*fattree.GTree, error) {
 	if ports < 8 {
 		stages = 1
 	}
-	m := factorBalanced(ports, stages)
-	// Avoid degenerate unit stages.
-	trimmed := m[:0]
-	for _, v := range m {
-		if v > 1 {
-			trimmed = append(trimmed, v)
-		}
+	m := grid.NonUnitFactors(ports, stages)
+	if len(m) == 0 {
+		m = []int{1}
 	}
-	if len(trimmed) == 0 {
-		trimmed = append(trimmed, 1)
-	}
-	if implicit {
-		return fattree.NewNonBlockingImplicit(trimmed)
-	}
-	return fattree.NewNonBlocking(trimmed)
+	return fattree.NewNonBlocking(m)
 }
 
 // SuggestGHC builds a generalised-hypercube fabric for the given number of
@@ -78,15 +55,6 @@ func suggestTree(ports int, implicit bool) (*fattree.GTree, error) {
 // configuration exhibits (~1.6x). At the paper's full scale (131,072
 // ports) this reproduces exactly that grid: 8,192 switches, conc 16.
 func SuggestGHC(ports int) (*ghc.GHC, error) {
-	return suggestGHC(ports, false)
-}
-
-// SuggestGHCImplicit is SuggestGHC with an implicit link table.
-func SuggestGHCImplicit(ports int) (*ghc.GHC, error) {
-	return suggestGHC(ports, true)
-}
-
-func suggestGHC(ports int, implicit bool) (*ghc.GHC, error) {
 	if ports < 1 {
 		return nil, fmt.Errorf("nest: need at least one port, got %d", ports)
 	}
@@ -110,22 +78,13 @@ func suggestGHC(ports int, implicit bool) (*ghc.GHC, error) {
 			break
 		}
 	}
-	if implicit {
-		return ghc.NewImplicit(ghcShape(ports/best), best)
-	}
 	return ghc.New(ghcShape(ports/best), best)
 }
 
 // ghcShape factors a switch count into a balanced grid of at most 4
 // non-degenerate dimensions.
 func ghcShape(switches int) grid.Shape {
-	dims := factorBalanced(switches, 4)
-	shape := grid.Shape{}
-	for _, v := range dims {
-		if v > 1 {
-			shape = append(shape, v)
-		}
-	}
+	shape := grid.Shape(grid.NonUnitFactors(switches, 4))
 	if len(shape) == 0 {
 		shape = grid.Shape{1}
 	}
@@ -136,17 +95,6 @@ func ghcShape(switches int) grid.Shape {
 // fabric: numSub subtori of shape sub, uplink density u, upper tier of the
 // given kind. It is the one-call constructor used by the experiment runner.
 func Build(kind UpperKind, sub grid.Shape, numSub, u int) (*Nest, error) {
-	return buildKind(kind, sub, numSub, u, false)
-}
-
-// BuildImplicit is Build with both tiers in the implicit representation:
-// link ids are computed on demand and no link table exists unless Links()
-// is called. Link ids, routes and names are identical to Build's.
-func BuildImplicit(kind UpperKind, sub grid.Shape, numSub, u int) (*Nest, error) {
-	return buildKind(kind, sub, numSub, u, true)
-}
-
-func buildKind(kind UpperKind, sub grid.Shape, numSub, u int, implicit bool) (*Nest, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,15 +104,12 @@ func buildKind(kind UpperKind, sub grid.Shape, numSub, u int, implicit bool) (*N
 		err error
 	)
 	if kind == UpperTree {
-		fab, err = suggestTree(ports, implicit)
+		fab, err = SuggestTree(ports)
 	} else {
-		fab, err = suggestGHC(ports, implicit)
+		fab, err = SuggestGHC(ports)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if implicit {
-		return NewImplicit(sub, numSub, u, fab)
 	}
 	return New(sub, numSub, u, fab)
 }
@@ -172,18 +117,9 @@ func buildKind(kind UpperKind, sub grid.Shape, numSub, u int, implicit bool) (*N
 // BuildCube is Build for the paper's cubic subtori: t nodes per dimension
 // and a total endpoint count of n (n must be a multiple of t³).
 func BuildCube(kind UpperKind, t, u, n int) (*Nest, error) {
-	return buildCube(kind, t, u, n, false)
-}
-
-// BuildCubeImplicit is BuildCube in the implicit representation.
-func BuildCubeImplicit(kind UpperKind, t, u, n int) (*Nest, error) {
-	return buildCube(kind, t, u, n, true)
-}
-
-func buildCube(kind UpperKind, t, u, n int, implicit bool) (*Nest, error) {
 	sub := grid.NewCube(3, t)
 	if n%sub.Size() != 0 {
 		return nil, fmt.Errorf("nest: %d endpoints not a multiple of subtorus size %d", n, sub.Size())
 	}
-	return buildKind(kind, sub, n/sub.Size(), u, implicit)
+	return Build(kind, sub, n/sub.Size(), u)
 }

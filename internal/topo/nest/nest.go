@@ -27,12 +27,11 @@
 // The link-id space is tier-ordered and closed-form: all subtorus cables
 // first (islands are identical, so island s's cables are island 0's
 // translated by s·cablesPerIsland), then one uplink cable per fabric port,
-// then the fabric cables in the fabric's SwitchCables() order. When the
-// fabric is a topo.CableIndexer (both the fattree and GHC fabrics are),
-// every link id is computable on demand; NewImplicit exploits that to skip
-// materialising the link table entirely, and intra-island route segments
-// are memoised by (source-class, destination-class) — the local-rank pair
-// — and translated per island.
+// then the fabric cables in the fabric's SwitchCables() order. Every link
+// id is computable on demand from the fabric's closed-form cable index, so
+// the link table is only built if Links() is called, and intra-island
+// route segments are memoised by (source-class, destination-class) — the
+// local-rank pair — and translated per island.
 package nest
 
 import (
@@ -51,7 +50,6 @@ type Nest struct {
 	numSub  int
 	u       int
 	fabric  topo.Fabric
-	cix     topo.CableIndexer // non-nil when the fabric is closed-form
 	name    string
 	nodes   int     // QFDBs = numSub * sub.Size()
 	swBase  int     // vertex id of fabric switch 0
@@ -84,35 +82,12 @@ type Nest struct {
 	net  *topo.Net // materialised link table; nil until first needed
 }
 
-// New builds a materialised hybrid topology of numSub subtori of the given
-// shape, with one uplink per u QFDBs, attached to the supplied upper-tier
-// fabric. The fabric must offer at least numSub*sub.Size()/u endpoint
-// ports.
+// New builds a hybrid topology of numSub subtori of the given shape, with
+// one uplink per u QFDBs, attached to the supplied upper-tier fabric. The
+// fabric must offer at least numSub*sub.Size()/u endpoint ports. Link ids
+// are computed on demand; the link table is only built if Links() is
+// called.
 func New(sub grid.Shape, numSub, u int, fabric topo.Fabric) (*Nest, error) {
-	n, err := newNest(sub, numSub, u, fabric)
-	if err != nil {
-		return nil, err
-	}
-	n.once.Do(n.materialise)
-	return n, nil
-}
-
-// NewImplicit builds a hybrid topology that computes link ids on demand
-// and only materialises its link table if Links() is called. It requires a
-// closed-form fabric (topo.CableIndexer). Routes, link ids and Name are
-// identical to New's.
-func NewImplicit(sub grid.Shape, numSub, u int, fabric topo.Fabric) (*Nest, error) {
-	n, err := newNest(sub, numSub, u, fabric)
-	if err != nil {
-		return nil, err
-	}
-	if n.cix == nil {
-		return nil, fmt.Errorf("nest: implicit representation needs a closed-form fabric, %s is not a topo.CableIndexer", fabric.Name())
-	}
-	return n, nil
-}
-
-func newNest(sub grid.Shape, numSub, u int, fabric topo.Fabric) (*Nest, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
@@ -141,7 +116,6 @@ func newNest(sub grid.Shape, numSub, u int, fabric topo.Fabric) (*Nest, error) {
 		fabric: fabric,
 		localN: sub.Size(),
 	}
-	n.cix, _ = fabric.(topo.CableIndexer)
 	n.nodes = numSub * n.localN
 	uplinks := n.nodes / u
 	if fabric.NumEndpointPorts() < uplinks {
@@ -158,11 +132,7 @@ func newNest(sub grid.Shape, numSub, u int, fabric topo.Fabric) (*Nest, error) {
 	n.cablesPerIsland = n.subCod.NumCables()
 	n.lowerEnd = 2 * n.cablesPerIsland * numSub
 	n.uplinkEnd = n.lowerEnd + 2*uplinks
-	if n.cix != nil {
-		n.numLinks = n.uplinkEnd + 2*n.cix.NumSwitchCables()
-	} else {
-		n.numLinks = n.uplinkEnd + 2*len(fabric.SwitchCables())
-	}
+	n.numLinks = n.uplinkEnd + 2*fabric.NumSwitchCables()
 	return n, nil
 }
 
@@ -280,8 +250,7 @@ func (n *Nest) NumVertices() int { return n.nodes + n.fabric.NumSwitches() }
 // NumLinks implements topo.Topology.
 func (n *Nest) NumLinks() int { return n.numLinks }
 
-// Links implements topo.Topology, materialising the table on first call
-// for implicit instances.
+// Links implements topo.Topology, building the table on first call.
 func (n *Nest) Links() []topo.Link {
 	n.once.Do(n.materialise)
 	return n.net.Links()
@@ -361,20 +330,10 @@ func (n *Nest) uplinkDown(p int) int32 { return int32(n.lowerEnd + 2*p + 1) }
 // fabricLink returns the link id of the hop between adjacent fabric
 // switches x and y (fabric-local ids).
 func (n *Nest) fabricLink(x, y int32) int32 {
-	if n.cix != nil {
-		cable, forward := n.cix.SwitchCableBetween(x, y)
-		id := int32(n.uplinkEnd) + 2*cable
-		if !forward {
-			id++
-		}
-		return id
-	}
-	// Fallback for custom fabrics without closed-form cable ids: the
-	// materialised adjacency.
-	n.once.Do(n.materialise)
-	id, ok := n.net.LinkBetween(n.swBase+int(x), n.swBase+int(y))
-	if !ok {
-		panic(fmt.Sprintf("nest: no fabric link %d -> %d", x, y))
+	cable, forward := n.fabric.SwitchCableBetween(x, y)
+	id := int32(n.uplinkEnd) + 2*cable
+	if !forward {
+		id++
 	}
 	return id
 }
@@ -479,17 +438,7 @@ func (n *Nest) AvgDistance() float64 {
 	interSum := 2*interPairs + 2*subs*(subs-1)*localN*toUpSum
 	// Fabric term: sum of SwitchDistance over ordered port pairs on
 	// different islands, weighted u² (each port serves u locals).
-	ports := n.numSub * len(n.upLocal)
-	var allSum float64
-	if fd, ok := n.fabric.(topo.FabricDistancer); ok {
-		allSum = fd.PortPairDistanceSum()
-	} else {
-		for a := 0; a < ports; a++ {
-			for b := 0; b < ports; b++ {
-				allSum += float64(n.fabric.SwitchDistance(a, b))
-			}
-		}
-	}
+	allSum := n.fabric.PortPairDistanceSum()
 	sameIsland := 0.0
 	perIsland := len(n.upLocal)
 	for s := 0; s < n.numSub; s++ {

@@ -228,14 +228,14 @@ func TestFactorBalanced(t *testing.T) {
 		{1, 3, []int{1, 1, 1}},
 	}
 	for _, c := range cases {
-		got := factorBalanced(c.x, c.parts)
+		got := grid.FactorBalanced(c.x, c.parts)
 		if len(got) != len(c.want) {
-			t.Errorf("factorBalanced(%d,%d) = %v, want %v", c.x, c.parts, got, c.want)
+			t.Errorf("grid.FactorBalanced(%d,%d) = %v, want %v", c.x, c.parts, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("factorBalanced(%d,%d) = %v, want %v", c.x, c.parts, got, c.want)
+				t.Errorf("grid.FactorBalanced(%d,%d) = %v, want %v", c.x, c.parts, got, c.want)
 				break
 			}
 		}

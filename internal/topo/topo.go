@@ -47,15 +47,14 @@ func Route(t Topology, src, dst int) []int32 {
 
 // Generative is implemented by topologies whose link table is defined by
 // closed-form index arithmetic: any directed link can be described from its
-// id alone, without materialising []Link. Implicit (non-materialised)
-// instances of such topologies still satisfy the full Topology contract —
-// Links() materialises the table lazily on first call — but callers that go
-// through LinkEnds/LinkAt never force that materialisation, which is what
-// keeps n=131,072 instances within memory bounds.
+// id alone, without materialising []Link. Such topologies still satisfy the
+// full Topology contract — Links() builds the table lazily on first call —
+// but callers that go through LinkEnds/LinkAt never force that build,
+// which is what keeps n=131,072 instances within memory bounds.
 //
 // Contract: LinkEnds(id) must equal Links()[id] for every id in
 // [0, NumLinks()), i.e. the closed form reproduces the construction order
-// of the materialised builder exactly.
+// of the stored table exactly.
 type Generative interface {
 	Topology
 	// LinkEnds returns the endpoints of directed link id. It panics if the
@@ -64,8 +63,7 @@ type Generative interface {
 }
 
 // LinkAt returns directed link id of t, using the closed form when the
-// topology is Generative so implicit instances are not forced to
-// materialise their link table.
+// topology is Generative so its link table is not forced into existence.
 func LinkAt(t Topology, id int32) Link {
 	if g, ok := t.(Generative); ok {
 		from, to := g.LinkEnds(id)
@@ -337,7 +335,10 @@ type Tiered interface {
 // Fabric is a switch-level interconnect that a population of endpoints can
 // attach to. It is the contract between the hybrid (nested) topologies and
 // their upper tiers: the nest package wires uplinked QFDBs directly to the
-// fabric's switches and routes across it with SwitchPath.
+// fabric's switches and routes across it with SwitchPath. Its cable table
+// and distance sums are closed-form, so a nesting topology can map a
+// fabric hop to a link id and compute exact mean distances without
+// materialising SwitchCables() or enumerating port pairs.
 type Fabric interface {
 	// Name identifies the fabric, e.g. "gtree-64:64:32" or "ghc-8x8x8x16".
 	Name() string
@@ -352,6 +353,13 @@ type Fabric interface {
 	// SwitchCables returns each physical switch-to-switch cable once as a
 	// pair of fabric-local switch ids.
 	SwitchCables() [][2]int32
+	// NumSwitchCables returns len(SwitchCables()) without materialising it.
+	NumSwitchCables() int
+	// SwitchCableBetween returns the SwitchCables() index of the cable
+	// joining adjacent switches a and b (fabric-local ids), and whether the
+	// a→b hop runs in the cable's listed orientation (SwitchCables()[c][0]
+	// → SwitchCables()[c][1]). It panics if the switches are not adjacent.
+	SwitchCableBetween(a, b int32) (cable int32, forward bool)
 	// SwitchPathAppend appends the fabric-local switch sequence of the
 	// deterministic minimal route from the attach switch of srcPort to the
 	// attach switch of dstPort, both included. Routing is port-granular so
@@ -361,31 +369,10 @@ type Fabric interface {
 	// SwitchDistance returns the hop count of SwitchPathAppend's route
 	// without allocating.
 	SwitchDistance(srcPort, dstPort int) int
+	// PortPairDistanceSum returns the sum of SwitchDistance over all
+	// ordered port pairs (including equal ports).
+	PortPairDistanceSum() float64
 	// SwitchDiameter returns the maximum switch-to-switch hop count between
 	// attach switches under the fabric's routing function.
 	SwitchDiameter() int
-}
-
-// CableIndexer is implemented by fabrics whose switch-to-switch cable table
-// is closed-form. It lets a nesting topology map a fabric hop to a link id
-// without materialising SwitchCables(): cable c of the fabric occupies the
-// c-th cable slot of the nest's fabric tier, in SwitchCables() order.
-type CableIndexer interface {
-	Fabric
-	// NumSwitchCables returns len(SwitchCables()) without materialising it.
-	NumSwitchCables() int
-	// SwitchCableBetween returns the SwitchCables() index of the cable
-	// joining adjacent switches a and b (fabric-local ids), and whether the
-	// a→b hop runs in the cable's listed orientation (SwitchCables()[c][0]
-	// → SwitchCables()[c][1]). It panics if the switches are not adjacent.
-	SwitchCableBetween(a, b int32) (cable int32, forward bool)
-}
-
-// FabricDistancer is implemented by fabrics that can report the sum of
-// SwitchDistance over all ordered port pairs (including equal ports) in
-// closed form. Hierarchical topologies use it for exact mean-distance
-// computation at scales where pair enumeration is impossible.
-type FabricDistancer interface {
-	Fabric
-	PortPairDistanceSum() float64
 }

@@ -7,11 +7,8 @@
 // traffic through its backplane ports. Rings of size 2 get a single cable
 // (the +1 and -1 neighbours coincide); rings of size 1 get none.
 //
-// The topology exists in two representations with identical link-id
-// spaces: the materialised form stores the full link table, the implicit
-// form (NewImplicit) computes link ids on demand from the closed-form
-// cable arithmetic of Coder and only materialises the table if Links() is
-// actually called.
+// Link ids are computed on demand from the closed-form cable arithmetic
+// of Coder; the stored link table is only built if Links() is called.
 package torus
 
 import (
@@ -211,21 +208,10 @@ type Torus struct {
 	net  *topo.Net // materialised link table; nil until first needed
 }
 
-// New builds a materialised torus over the given shape, e.g.
-// grid.Shape{64, 64, 32} for the paper's 131,072-QFDB reference system.
+// New builds a torus over the given shape, e.g. grid.Shape{64, 64, 32}
+// for the paper's 131,072-QFDB reference system. Link ids are computed on
+// demand; the link table is only built if Links() is called.
 func New(shape grid.Shape) (*Torus, error) {
-	t, err := NewImplicit(shape)
-	if err != nil {
-		return nil, err
-	}
-	t.once.Do(t.materialise)
-	return t, nil
-}
-
-// NewImplicit builds a torus that computes link ids on demand and only
-// materialises its link table if Links() is called. Routes, link ids and
-// Name are identical to New's.
-func NewImplicit(shape grid.Shape) (*Torus, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
@@ -259,8 +245,7 @@ func (t *Torus) NumVertices() int { return t.shape.Size() }
 // NumLinks implements topo.Topology.
 func (t *Torus) NumLinks() int { return 2 * t.cod.NumCables() }
 
-// Links implements topo.Topology, materialising the table on first call
-// for implicit instances.
+// Links implements topo.Topology, building the table on first call.
 func (t *Torus) Links() []topo.Link {
 	t.once.Do(t.materialise)
 	return t.net.Links()
